@@ -13,14 +13,7 @@ from .linalg import (
     trace_norm,
 )
 from .observables import ObservableBasis, gell_mann_basis, pad_basis, rotate_basis
-from .covariance import (
-    CovarianceBlocks,
-    all_blocks,
-    correlation_block,
-    covariance_matrix,
-    expectation,
-    joint_variance_sum,
-)
+from .covariance import StateSummary, correlation_block, joint_variance_sum
 from .criteria import (
     BOUNDARY,
     ENTANGLED,

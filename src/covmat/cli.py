@@ -21,9 +21,10 @@ import numpy as np
 
 from . import concurrence as conc
 from . import criteria as crit
+from .covariance import StateSummary
 from .criteria import CriterionVerdict, MultipartiteReport
-from .linalg import DensityMatrix, partial_trace, partial_transpose, min_eigenvalue, realign, trace_norm
-from .states import build_state, load_state, mix, random_pure, random_separable
+from .linalg import DensityMatrix
+from .states import build_state, load_state, mix, parse_dims, random_pure, random_separable
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -71,32 +72,6 @@ class AnalysisReport:
             }
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnalysisReport":
-        multi = None
-        if d.get("multipartite") is not None:
-            m = d["multipartite"]
-            pv = {}
-            for key, pair in m["pair_verdicts"].items():
-                i, j = (int(p) for p in key.split(","))
-                pv[(i, j)] = {k: CriterionVerdict(**v) for k, v in pair.items()}
-            multi = MultipartiteReport(
-                pair_verdicts=pv,
-                full_sep_refuted=m["full_sep_refuted"],
-                bisep_refuted=m["bisep_refuted"],
-                fully_entangled=m["fully_entangled"],
-            )
-        bounds = conc.ConcurrenceBounds(**d["bounds"]) if d.get("bounds") else None
-        return cls(
-            state_description=d["state_description"],
-            dims=list(d["dims"]),
-            purities=list(d["purities"]),
-            verdicts=[CriterionVerdict(**v) for v in d["verdicts"]],
-            multipartite=multi,
-            bounds=bounds,
-            timing_ms=d["timing_ms"],
-        )
-
 
 def fmt(x: float) -> str:
     """Locale-independent, 12 significant digits."""
@@ -112,9 +87,10 @@ def _resolve_state(args) -> tuple[DensityMatrix, str]:
 
 
 def analyze_state(rho: DensityMatrix, description: str, tol: float) -> AnalysisReport:
+    summary = StateSummary(rho)
     timing: dict[str, float] = {}
     t0 = time.perf_counter()
-    purities = [partial_trace(rho, (k,)).purity() for k in range(rho.n_parties)]
+    purities = summary.purities
     timing["purities"] = (time.perf_counter() - t0) * 1000
 
     verdicts: list[CriterionVerdict] = []
@@ -123,18 +99,18 @@ def analyze_state(rho: DensityMatrix, description: str, tol: float) -> AnalysisR
     if rho.n_parties == 2:
         t0 = time.perf_counter()
         verdicts = [
-            crit.kf_criterion(rho, tol),
-            crit.hs_criterion(rho, tol),
-            crit.ppt_criterion(rho, tol),
-            crit.ccnr_criterion(rho, tol),
+            crit.kf_criterion(summary, tol),
+            crit.hs_criterion(summary, tol),
+            crit.ppt_criterion(summary, tol),
+            crit.ccnr_criterion(summary, tol),
         ]
         timing["criteria"] = (time.perf_counter() - t0) * 1000
         t0 = time.perf_counter()
-        bounds = conc.all_bounds(rho)
+        bounds = conc.all_bounds(summary)
         timing["bounds"] = (time.perf_counter() - t0) * 1000
     else:
         t0 = time.perf_counter()
-        multi = crit.multipartite_full_sep(rho, tol)
+        multi = crit.multipartite_full_sep(summary, tol)
         timing["criteria"] = (time.perf_counter() - t0) * 1000
     return AnalysisReport(
         state_description=description,
@@ -203,16 +179,16 @@ SWEEP_COLUMNS = ("x", "bound10", "bound11", "bound12", "kf_margin",
 def sweep_rows(base: DensityMatrix, target: DensityMatrix, grid: np.ndarray,
                tol: float = crit.DECISION_TOL):
     for x in grid:
-        rho = mix(base, target, float(x))
+        s = StateSummary(mix(base, target, float(x)))
         yield (
             float(x),
-            conc.bound_ccnr_ppt(rho),
-            conc.bound_lur(rho),
-            conc.bound_optimized(rho),
-            crit.kf_criterion(rho, tol).margin,
-            crit.hs_criterion(rho, tol).margin,
-            min_eigenvalue(partial_transpose(rho, 0)),
-            trace_norm(realign(rho)),
+            conc.bound_ccnr_ppt(s),
+            conc.bound_lur(s),
+            conc.bound_optimized(s),
+            crit.kf_criterion(s, tol).margin,
+            crit.hs_criterion(s, tol).margin,
+            crit.ppt_criterion(s, tol).details["min_eigenvalue"],
+            crit.ccnr_criterion(s, tol).lhs,
         )
 
 
@@ -231,6 +207,10 @@ def cmd_sweep(args) -> int:
 def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
                  tol: float = crit.DECISION_TOL) -> dict[str, int]:
     """Detection counts per criterion over a seeded ensemble."""
+    if len(dims) < 2:
+        raise ValueError(f"bench needs at least two parties, got dims {dims}")
+    if count < 1:
+        raise ValueError(f"bench needs a positive --count, got {count}")
     counts = {"kf": 0, "hs": 0, "ppt": 0, "ccnr": 0, "states": count}
     rng = np.random.default_rng(seed)
     for _ in range(count):
@@ -241,13 +221,14 @@ def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
             rho = random_pure(dims, sub)
         else:
             raise ValueError(f"unknown ensemble kind {kind!r}")
+        summary = StateSummary(rho)
         if len(dims) == 2:
             for name, fn in (("kf", crit.kf_criterion), ("hs", crit.hs_criterion),
                              ("ppt", crit.ppt_criterion), ("ccnr", crit.ccnr_criterion)):
-                if fn(rho, tol).conclusion == crit.ENTANGLED:
+                if fn(summary, tol).conclusion == crit.ENTANGLED:
                     counts[name] += 1
         else:
-            rep = crit.multipartite_full_sep(rho, tol)
+            rep = crit.multipartite_full_sep(summary, tol)
             counts.setdefault("pairwise", 0)
             if rep.full_sep_refuted:
                 counts["pairwise"] += 1
@@ -255,7 +236,7 @@ def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
 
 
 def cmd_bench(args) -> int:
-    dims = tuple(int(p) for p in args.dims.split("x"))
+    dims = parse_dims(args.dims)
     counts = bench_counts(args.kind, dims, args.count, args.terms, args.seed,
                           args.tolerance)
     if args.format == "json":
@@ -310,6 +291,8 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = _default_seed()
     try:
+        if not args.tolerance >= 0:
+            raise ValueError(f"--tolerance must be a non-negative number, got {args.tolerance}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

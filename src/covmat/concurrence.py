@@ -13,15 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import correlation_block, joint_variance_sum
-from .linalg import (
-    DensityMatrix,
-    partial_trace,
-    partial_transpose,
-    realign,
-    trace_norm,
-)
-from .observables import ObservableBasis, gell_mann_basis
+from .covariance import (StateLike, StateSummary, joint_variance_sum, paired_variance_sum,
+                         summarize)
+from .linalg import partial_trace
+from .observables import ObservableBasis, gell_mann_basis, rotate_basis
 from .states import dm_from_vector
 
 
@@ -46,35 +41,32 @@ class ConcurrenceBounds:
         return max(0.0, self.bound_ccnr_ppt, self.bound_lur, self.bound_optimized)
 
 
-def _require_bipartite(rho: DensityMatrix):
-    if rho.n_parties != 2:
-        raise ValueError(f"concurrence bounds require a bipartite state, got {rho.n_parties}")
-
-
-def _mn(rho: DensityMatrix) -> tuple[int, int]:
-    return min(rho.dims), max(rho.dims)
+def _mn(s: StateSummary) -> tuple[int, int]:
+    return min(s.dims), max(s.dims)
 
 
 def pure_concurrence(psi: np.ndarray, dims) -> float:
     """sqrt(2 (1 - tr rho_A^2)) for a normalized bipartite state vector."""
     rho = dm_from_vector(psi, dims)
-    _require_bipartite(rho)
+    if rho.n_parties != 2:
+        raise ValueError(f"concurrence bounds require a bipartite state, got {rho.n_parties}")
     pa = partial_trace(rho, (0,)).purity()
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - pa))))
 
 
-def bound_ccnr_ppt(rho: DensityMatrix) -> float:
+def bound_ccnr_ppt(rho: StateLike) -> float:
     """sqrt(2/(M(M-1))) * (max(||rho^T_A||, ||R(rho)||) - 1), M the
     smaller local dimension.  Both norms are invariant under swapping the
-    parties, so no physical reordering is needed."""
-    _require_bipartite(rho)
-    m, _ = _mn(rho)
-    biggest = max(trace_norm(partial_transpose(rho, 0)), trace_norm(realign(rho)))
+    parties, so no physical reordering is needed; the trace norm of the
+    Hermitian rho^T_A is the sum of its absolute eigenvalues."""
+    s = summarize(rho, "concurrence bounds")
+    m, _ = _mn(s)
+    biggest = max(float(np.abs(s.pt_spectrum).sum()), s.realign_norm)
     return float(np.sqrt(2.0 / (m * (m - 1))) * (biggest - 1.0))
 
 
 def bound_lur(
-    rho: DensityMatrix,
+    rho: StateLike,
     basis_a: ObservableBasis | None = None,
     basis_b: ObservableBasis | None = None,
 ) -> float:
@@ -82,32 +74,30 @@ def bound_lur(
 
     Defaults to the Gell-Mann bases; the value depends on that choice.
     """
-    _require_bipartite(rho)
-    m, n = _mn(rho)
-    basis_a = basis_a or gell_mann_basis(rho.dims[0])
-    basis_b = basis_b or gell_mann_basis(rho.dims[1])
-    jvs = joint_variance_sum(rho, basis_a, basis_b)
+    s = summarize(rho, "concurrence bounds")
+    m, n = _mn(s)
+    if basis_a is None and basis_b is None:
+        jvs = paired_variance_sum(s.dims, s.purities, s.pair()[0])
+    else:
+        jvs = joint_variance_sum(s.state, basis_a or gell_mann_basis(s.dims[0]),
+                                 basis_b or gell_mann_basis(s.dims[1]))
     return float((m + n - 2.0 - jvs) / np.sqrt(2.0 * m * (m - 1)))
 
 
-def bound_optimized(rho: DensityMatrix) -> float:
+def bound_optimized(rho: StateLike) -> float:
     """(2 ||C||_KF - (1 - tr rho_A^2) - (1 - tr rho_B^2)) / sqrt(2M(M-1)).
 
     The trace norm of the cross block already is the basis optimum (the
     singular value decomposition closes the search), so no basis argument
     exists.
     """
-    _require_bipartite(rho)
-    m, _ = _mn(rho)
-    c = correlation_block(
-        rho, 0, 1, gell_mann_basis(rho.dims[0]), gell_mann_basis(rho.dims[1])
-    )
-    ea = 1.0 - partial_trace(rho, (0,)).purity()
-    eb = 1.0 - partial_trace(rho, (1,)).purity()
-    return float((2.0 * trace_norm(c) - ea - eb) / np.sqrt(2.0 * m * (m - 1)))
+    s = summarize(rho, "concurrence bounds")
+    m, _ = _mn(s)
+    ea, eb = (1.0 - p for p in s.purities)
+    return float((2.0 * s.pair()[1].sum() - ea - eb) / np.sqrt(2.0 * m * (m - 1)))
 
 
-def svd_rotated_bases(rho: DensityMatrix) -> tuple[ObservableBasis, ObservableBasis]:
+def svd_rotated_bases(rho: StateLike) -> tuple[ObservableBasis, ObservableBasis]:
     """Observable bases that attain the basis optimum of the variance bound.
 
     Rotates the Gell-Mann bases by the singular vectors of the cross
@@ -115,32 +105,28 @@ def svd_rotated_bases(rho: DensityMatrix) -> tuple[ObservableBasis, ObservableBa
     correlations sum to minus the trace norm; bound_lur in these bases
     equals bound_optimized.  Equal local dimensions only.
     """
-    _require_bipartite(rho)
-    if rho.dims[0] != rho.dims[1]:
+    s = summarize(rho, "concurrence bounds")
+    if s.dims[0] != s.dims[1]:
         raise ValueError("rotated-basis construction requires equal local dimensions")
-    from .observables import rotate_basis
-
-    ba = gell_mann_basis(rho.dims[0])
-    bb = gell_mann_basis(rho.dims[1])
-    c = correlation_block(rho, 0, 1, ba, bb)
-    u, _, vt = np.linalg.svd(c)
-    return rotate_basis(ba, u.T), rotate_basis(bb, -vt)
+    u, _, vt = np.linalg.svd(s.pair()[0])
+    basis = gell_mann_basis(s.dims[0])
+    return rotate_basis(basis, u.T), rotate_basis(basis, -vt)
 
 
-def all_bounds(rho: DensityMatrix, pure_vector: np.ndarray | None = None) -> ConcurrenceBounds:
+def all_bounds(rho: StateLike, pure_vector: np.ndarray | None = None) -> ConcurrenceBounds:
     """Evaluate every bound; `pure_vector`, when given, supplies the exact
     pure-state value alongside."""
-    _require_bipartite(rho)
-    m, n = _mn(rho)
+    s = summarize(rho, "concurrence bounds")
+    m, n = _mn(s)
     exact = None
     if pure_vector is not None:
-        exact = pure_concurrence(pure_vector, rho.dims)
+        exact = pure_concurrence(pure_vector, s.dims)
     return ConcurrenceBounds(
         m=m,
         n=n,
-        bound_ccnr_ppt=bound_ccnr_ppt(rho),
-        bound_lur=bound_lur(rho),
-        bound_optimized=bound_optimized(rho),
+        bound_ccnr_ppt=bound_ccnr_ppt(s),
+        bound_lur=bound_lur(s),
+        bound_optimized=bound_optimized(s),
         exact_pure=exact,
-        swapped=rho.dims[0] > rho.dims[1],
+        swapped=s.dims[0] > s.dims[1],
     )

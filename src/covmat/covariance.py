@@ -1,74 +1,35 @@
-"""Covariance matrices of observable sets and their block structure.
+"""Cross-correlation blocks of local observables and the per-state summary
+the criteria and bounds read.
 
-For a state rho and observables {M_k}, the covariance matrix is
+For per-party observable sets {M^i} of an N-party state, the covariance
+matrix splits into per-party diagonal blocks and cross-correlation blocks
 
-    gamma_ij = <M_i M_j + M_j M_i> / 2 - <M_i><M_j>,
+    (C_ij)_mn = <M_m^i x M_n^j> - <M_m^i><M_n^j> = tr(Delta_ij (M_m^i x M_n^j)),
 
-which for an N-party state and per-party observable sets splits into
-per-party diagonal blocks and cross-correlation blocks
-
-    (A_ij)_mn = <M_m^i x M_n^j> - <M_m^i><M_n^j>.
-
-Cross blocks only involve two-party reduced states, so they are computed
-from partial traces rather than full-space operators.
+with Delta_ij = rho_ij - rho_i x rho_j on the two-party reduced state.  In
+an orthonormal product basis C_ij is a change of coordinates of the
+realigned correlation part R(Delta_ij), so it is one matrix product away
+from the realigned state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace
-from .observables import ObservableBasis, pad_basis
-
-IMAG_TOL = 1e-10
+from .linalg import DensityMatrix, partial_trace, partial_transpose, realign, trace_norm
+from .observables import ObservableBasis, gell_mann_basis
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceBlocks:
-    """Block decomposition of the covariance matrix of a multipartite state."""
-
-    n_parties: int
-    diag: list[np.ndarray]
-    cross: dict[tuple[int, int], np.ndarray]
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        if i == j:
-            return self.diag[i]
-        if i < j:
-            return self.cross[(i, j)]
-        return self.cross[(j, i)].T
-
-
-def expectation(rho: DensityMatrix, m: np.ndarray) -> float:
-    """Tr(rho M) for Hermitian M; the imaginary residue must be negligible."""
-    m = np.asarray(m, dtype=complex)
-    if m.shape != rho.mat.shape:
-        raise ValueError(f"observable shape {m.shape} does not match state {rho.mat.shape}")
-    val = complex(np.trace(rho.mat @ m))
-    if abs(val.imag) > IMAG_TOL:
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
-    return val.real
-
-
-def covariance_matrix(rho: DensityMatrix, ms) -> np.ndarray:
-    """Symmetrized covariance matrix of a list of Hermitian observables.
-
-    Re Tr(rho M_i M_j) equals the anticommutator average
-    <M_i M_j + M_j M_i>/2 exactly for Hermitian inputs.
-    """
-    s = np.asarray(ms, dtype=complex)
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
-        raise ValueError(f"observables must be a stack of square matrices, got {s.shape}")
-    if s.shape[1] != rho.total_dim:
-        raise ValueError(
-            f"observable dimension {s.shape[1]} does not match state dimension {rho.total_dim}"
-        )
-    rm = np.einsum("ij,ajk->aik", rho.mat, s)          # rho @ M_a
-    second = np.einsum("aij,bji->ab", rm, s)           # Tr(rho M_a M_b)
-    means = np.einsum("aii->a", rm).real
-    gamma = second.real - np.outer(means, means)
-    return (gamma + gamma.T) / 2
+def _cross_block(r: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray,
+                 basis_a: ObservableBasis, basis_b: ObservableBasis) -> np.ndarray:
+    """The cross block from the realigned two-party state R(rho) and its
+    marginals: with V_X holding vec(M^T) of each observable as a row,
+    C = V_A R(Delta) V_B^T and R(Delta) = R(rho) - vec(rho_A) vec(rho_B)^T,
+    O(d^6).  Zero-padded observables give zero rows."""
+    r_delta = r - np.outer(marg_a.reshape(-1), marg_b.reshape(-1))
+    va, vb = (b.elements.transpose(0, 2, 1).reshape(len(b), -1) for b in (basis_a, basis_b))
+    return (va @ r_delta @ vb.T).real
 
 
 def correlation_block(
@@ -91,35 +52,19 @@ def correlation_block(
     lo, hi = min(i, j), max(i, j)
     red = rho if (rho.n_parties == 2 and (lo, hi) == (0, 1)) else partial_trace(rho, (lo, hi))
     ba, bb = (basis_j, basis_i) if swap else (basis_i, basis_j)
-    da, db = red.dims
-    t = red.mat.reshape(da, db, da, db)
-    la, lb = ba.elements, bb.elements
-    joint = np.einsum("ijkl,aki,blj->ab", t, la, lb).real
-    mean_a = np.einsum("ijkj,aki->a", t, la).real
-    mean_b = np.einsum("ijil,blj->b", t, lb).real
-    block = joint - np.outer(mean_a, mean_b)
+    ma, mb = (partial_trace(red, (k,)).mat for k in (0, 1))
+    block = _cross_block(realign(red), ma, mb, ba, bb)
     return block.T if swap else block
 
 
-def all_blocks(rho: DensityMatrix, bases: list[ObservableBasis]) -> CovarianceBlocks:
-    """All diagonal and cross blocks, with bases padded to a common length."""
-    n = rho.n_parties
-    if len(bases) != n:
-        raise ValueError(f"need one basis per party: {n} parties, {len(bases)} bases")
-    for k, b in enumerate(bases):
-        if b.dim != rho.dims[k]:
-            raise ValueError(f"basis {k} has dim {b.dim}, subsystem has dim {rho.dims[k]}")
-    width = max(b.padded_count for b in bases)
-    padded = [pad_basis(b, width) for b in bases]
-    diag = []
-    for k in range(n):
-        red = rho if n == 1 else partial_trace(rho, (k,))
-        diag.append(covariance_matrix(red, padded[k].elements))
-    cross = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross[(i, j)] = correlation_block(rho, i, j, padded[i], padded[j])
-    return CovarianceBlocks(n, diag, cross)
+def paired_variance_sum(dims, purities, block: np.ndarray) -> float:
+    """sum_i Var(A_i x I + I x B_i) over paired observables of two
+    orthonormal, complete bases: sum_i Var(A_i) = d_A - tr rho_A^2 by
+    completeness and Parseval, likewise for B, plus twice the paired cross
+    correlations, the diagonal of the cross block.  A zero-padded
+    observable pairs with nothing, so bases of unequal length need no
+    special case."""
+    return float(sum(d - p for d, p in zip(dims, purities)) + 2.0 * np.trace(block))
 
 
 def joint_variance_sum(
@@ -131,15 +76,64 @@ def joint_variance_sum(
     """
     if rho.n_parties != 2:
         raise ValueError("joint variance sum requires a bipartite state")
-    width = max(basis_a.padded_count, basis_b.padded_count)
-    ba = pad_basis(basis_a, width)
-    bb = pad_basis(basis_b, width)
-    da, db = rho.dims
-    ia, ib = np.eye(da), np.eye(db)
-    ks = np.array(
-        [np.kron(ba.elements[i], ib) + np.kron(ia, bb.elements[i]) for i in range(width)]
-    )
-    rm = np.einsum("ij,ajk->aik", rho.mat, ks)
-    second = np.einsum("aij,aji->a", rm, ks).real
-    means = np.einsum("aii->a", rm).real
-    return float((second - means ** 2).sum())
+    purities = [partial_trace(rho, (k,)).purity() for k in (0, 1)]
+    block = correlation_block(rho, 0, 1, basis_a, basis_b)
+    return paired_variance_sum(rho.dims, purities, block)
+
+
+class StateSummary:
+    """The matrices every criterion and bound reads, each computed at most once.
+
+    Per party: the marginal rho_k and its purity.  Per pair of parties
+    i < j: the Gell-Mann cross block C_ij and its singular values.
+    Bipartite states also give the realigned state R(rho), shared by C and
+    the realignment criterion, and the spectrum of rho^(T_A).  Everything
+    past the marginals is computed on first use and kept, so every
+    criterion and bound evaluated on one summary shares a single pass over
+    these matrices, and the pairwise multipartite test computes only the
+    blocks it reads.
+    """
+
+    def __init__(self, rho: DensityMatrix):
+        self.state, self.dims = rho, rho.dims
+        self.marginals = [partial_trace(rho, (k,)) for k in range(rho.n_parties)]
+        self.purities = [m.purity() for m in self.marginals]
+        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def realigned(self) -> np.ndarray:
+        return realign(self.state)
+
+    @cached_property
+    def realign_norm(self) -> float:
+        return trace_norm(self.realigned)
+
+    @cached_property
+    def pt_spectrum(self) -> np.ndarray:
+        """Eigenvalues of rho^(T_A), ascending."""
+        pt = partial_transpose(self.state, 0)
+        return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+
+    def pair(self, i: int = 0, j: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """The Gell-Mann cross block of parties i < j and its singular values."""
+        if (i, j) not in self._pairs:
+            if len(self.dims) == 2:
+                r = self.realigned
+            else:
+                r = realign(partial_trace(self.state, (i, j)))
+            block = _cross_block(r, self.marginals[i].mat, self.marginals[j].mat,
+                                 gell_mann_basis(self.dims[i]), gell_mann_basis(self.dims[j]))
+            self._pairs[(i, j)] = block, np.linalg.svd(block, compute_uv=False)
+        return self._pairs[(i, j)]
+
+
+StateLike = DensityMatrix | StateSummary
+
+
+def summarize(rho: StateLike, bipartite_for: str | None = None) -> StateSummary:
+    """The summary of a state, or the given summary itself.  With
+    `bipartite_for` naming the caller, anything but two parties is rejected."""
+    s = rho if isinstance(rho, StateSummary) else StateSummary(rho)
+    if bipartite_for and len(s.dims) != 2:
+        raise ValueError(f"{bipartite_for} requires a bipartite state, got {len(s.dims)} parties")
+    return s

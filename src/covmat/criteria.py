@@ -4,7 +4,8 @@ Every criterion is a necessary condition for (full or partial)
 separability: a violated inequality certifies entanglement, a satisfied
 one is inconclusive.  Bipartite criteria compare norms of the
 cross-correlation block C against linear-entropy factors 1 - tr(rho_i^2);
-PPT and CCNR are included as baselines.
+PPT and CCNR are included as baselines.  Each criterion takes a state or
+its `StateSummary` and reads closed forms off the summary.
 """
 from __future__ import annotations
 
@@ -12,17 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import correlation_block
-from .linalg import (
-    DensityMatrix,
-    hs_norm,
-    min_eigenvalue,
-    partial_trace,
-    partial_transpose,
-    realign,
-    trace_norm,
-)
-from .observables import gell_mann_basis
+from .covariance import StateLike, StateSummary, summarize
 
 DECISION_TOL = 1e-9
 
@@ -77,65 +68,50 @@ def make_verdict(name, lhs, rhs, tol=DECISION_TOL, details=None) -> CriterionVer
                             details or {})
 
 
-def _require_bipartite(rho: DensityMatrix, what: str):
-    if rho.n_parties != 2:
-        raise ValueError(f"{what} requires a bipartite state, got {rho.n_parties} parties")
+def _entropies(s: StateSummary, i: int, j: int) -> tuple[float, float]:
+    return 1.0 - s.purities[i], 1.0 - s.purities[j]
 
 
-def _cross_block(rho: DensityMatrix, i: int, j: int) -> np.ndarray:
-    return correlation_block(
-        rho, i, j, gell_mann_basis(rho.dims[i]), gell_mann_basis(rho.dims[j])
-    )
-
-
-def _linear_entropies(rho: DensityMatrix) -> list[float]:
-    return [1.0 - partial_trace(rho, (k,)).purity() for k in range(rho.n_parties)]
-
-
-def kf_criterion(rho: DensityMatrix, tol: float = DECISION_TOL) -> CriterionVerdict:
+def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Trace-norm criterion: ||C||_KF <= ((1-tr rho_A^2) + (1-tr rho_B^2)) / 2.
 
     The sum of |C_ii| in the plain Gell-Mann basis (its basis-dependent
     precursor) is reported in details.
     """
-    _require_bipartite(rho, "trace-norm criterion")
-    c = _cross_block(rho, 0, 1)
-    ea, eb = _linear_entropies(rho)
-    diag_sum = float(np.abs(np.diagonal(c)).sum())
-    return make_verdict("kf", trace_norm(c), (ea + eb) / 2, tol,
-                        details={"diag_abs_sum": diag_sum})
+    s = summarize(rho, "trace-norm criterion")
+    c, sv = s.pair()
+    ea, eb = _entropies(s, 0, 1)
+    return make_verdict("kf", sv.sum(), (ea + eb) / 2, tol,
+                        details={"diag_abs_sum": float(np.abs(np.diagonal(c)).sum())})
 
 
-def hs_criterion(rho: DensityMatrix, tol: float = DECISION_TOL) -> CriterionVerdict:
+def hs_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Frobenius criterion: ||C||_HS^2 <= (1-tr rho_A^2)(1-tr rho_B^2)."""
-    _require_bipartite(rho, "Frobenius criterion")
-    c = _cross_block(rho, 0, 1)
-    ea, eb = _linear_entropies(rho)
-    return make_verdict("hs", hs_norm(c) ** 2, ea * eb, tol)
+    s = summarize(rho, "Frobenius criterion")
+    ea, eb = _entropies(s, 0, 1)
+    return make_verdict("hs", (s.pair()[1] ** 2).sum(), ea * eb, tol)
 
 
-def ppt_criterion(rho: DensityMatrix, tol: float = DECISION_TOL) -> CriterionVerdict:
+def ppt_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Positive partial transpose baseline; lhs is minus the smallest
     eigenvalue of rho^(T_A)."""
-    _require_bipartite(rho, "PPT criterion")
-    lam = min_eigenvalue(partial_transpose(rho, 0))
+    lam = float(summarize(rho, "PPT criterion").pt_spectrum[0])
     return make_verdict("ppt", -lam, 0.0, tol, details={"min_eigenvalue": lam})
 
 
-def ccnr_criterion(rho: DensityMatrix, tol: float = DECISION_TOL) -> CriterionVerdict:
+def ccnr_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Realignment baseline: trace norm of the reshuffled state vs 1."""
-    _require_bipartite(rho, "CCNR criterion")
-    return make_verdict("ccnr", trace_norm(realign(rho)), 1.0, tol)
+    return make_verdict("ccnr", summarize(rho, "CCNR criterion").realign_norm, 1.0, tol)
 
 
-def _pair_verdicts(rho: DensityMatrix, pairs, tol) -> dict:
-    ent = _linear_entropies(rho)
+def _pair_verdicts(s: StateSummary, pairs, tol) -> dict:
     out = {}
     for (i, j) in pairs:
-        c = _cross_block(rho, i, j)
+        ei, ej = _entropies(s, i, j)
+        sv = s.pair(i, j)[1]
         out[(i, j)] = {
-            "hs": make_verdict(f"hs_{i}{j}", hs_norm(c) ** 2, ent[i] * ent[j], tol),
-            "kf": make_verdict(f"kf_{i}{j}", trace_norm(c), (ent[i] + ent[j]) / 2, tol),
+            "hs": make_verdict(f"hs_{i}{j}", (sv ** 2).sum(), ei * ej, tol),
+            "kf": make_verdict(f"kf_{i}{j}", sv.sum(), (ei + ej) / 2, tol),
         }
     return out
 
@@ -146,12 +122,14 @@ def _count_violations(pair_verdicts) -> tuple[int, int]:
     return hs, kf
 
 
-def multipartite_full_sep(rho: DensityMatrix, tol: float = DECISION_TOL) -> MultipartiteReport:
+def multipartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:
     """Full-separability test for N parties: every cross block must obey
     both norm inequalities.  Two violations within one norm family imply
     the state is fully entangled (no bipartite cut is separable)."""
-    pairs = [(i, j) for i in range(rho.n_parties) for j in range(i + 1, rho.n_parties)]
-    verdicts = _pair_verdicts(rho, pairs, tol)
+    s = summarize(rho)
+    n = len(s.dims)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    verdicts = _pair_verdicts(s, pairs, tol)
     hs_v, kf_v = _count_violations(verdicts)
     return MultipartiteReport(
         pair_verdicts=verdicts,
@@ -161,23 +139,25 @@ def multipartite_full_sep(rho: DensityMatrix, tol: float = DECISION_TOL) -> Mult
     )
 
 
-def tripartite_full_sep(rho: DensityMatrix, tol: float = DECISION_TOL) -> MultipartiteReport:
+def tripartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:
     """All six cross-block inequalities (blocks D, E, F; both norms)."""
-    if rho.n_parties != 3:
-        raise ValueError(f"tripartite test requires 3 parties, got {rho.n_parties}")
-    return multipartite_full_sep(rho, tol)
+    s = summarize(rho)
+    if len(s.dims) != 3:
+        raise ValueError(f"tripartite test requires 3 parties, got {len(s.dims)}")
+    return multipartite_full_sep(s, tol)
 
 
 def tripartite_bisep(
-    rho: DensityMatrix, partition: str, tol: float = DECISION_TOL
+    rho: StateLike, partition: str, tol: float = DECISION_TOL
 ) -> MultipartiteReport:
     """Test biseparability across one partition; only the four
     inequalities that partition implies are evaluated."""
-    if rho.n_parties != 3:
-        raise ValueError(f"biseparability test requires 3 parties, got {rho.n_parties}")
+    s = summarize(rho)
+    if len(s.dims) != 3:
+        raise ValueError(f"biseparability test requires 3 parties, got {len(s.dims)}")
     if partition not in _BISEP_PAIRS:
         raise ValueError(f"unknown partition {partition!r}, expected one of {TRIPARTITE_PARTITIONS}")
-    verdicts = _pair_verdicts(rho, _BISEP_PAIRS[partition], tol)
+    verdicts = _pair_verdicts(s, _BISEP_PAIRS[partition], tol)
     hs_v, kf_v = _count_violations(verdicts)
     refuted = hs_v + kf_v > 0
     return MultipartiteReport(

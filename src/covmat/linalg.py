@@ -1,8 +1,9 @@
 """Dense complex-matrix primitives: partial trace, partial transpose,
 realignment, matrix norms and extremal eigenvalues.
 
-All operations are pure; density matrices are validated once at
-construction and treated as immutable afterwards.
+All operations are pure; density matrices are validated once, where they
+enter the program, and treated as immutable afterwards.  States derived
+from a validated one (reduced states) skip the check.
 """
 from __future__ import annotations
 
@@ -48,6 +49,8 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"matrix shape {mat.shape} does not match dims {dims} (D={D})"
             )
+        if not np.isfinite(mat).all():
+            raise InvalidStateError("matrix has non-finite entries (NaN or infinity)")
         herm_res = np.abs(mat - mat.conj().T).max()
         if herm_res > HERM_TOL:
             raise InvalidStateError(f"not Hermitian: residual {herm_res:.3e}")
@@ -57,6 +60,14 @@ class DensityMatrix:
         min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
         if min_eig < -PSD_TOL:
             raise InvalidStateError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+
+    @classmethod
+    def _derived(cls, dims: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
+        """Wrap a matrix computed from a validated state, without re-validating."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", dims)
+        object.__setattr__(rho, "mat", mat)
+        return rho
 
     @property
     def total_dim(self) -> int:
@@ -92,7 +103,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     reduced = np.einsum(t, row + col, out)
     d_keep = tuple(rho.dims[k] for k in keep)
     D = int(np.prod(d_keep))
-    return DensityMatrix(d_keep, reduced.reshape(D, D))
+    return DensityMatrix._derived(d_keep, reduced.reshape(D, D))
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 0) -> np.ndarray:

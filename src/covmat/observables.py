@@ -120,4 +120,5 @@ def rotate_basis(basis: ObservableBasis, u: np.ndarray) -> ObservableBasis:
         raise ValueError(f"rotation must be {d2}x{d2}, got {u.shape}")
     if np.abs(u @ u.T - np.eye(d2)).max() > ROTATION_TOL:
         raise ValueError("rotation matrix is not orthogonal")
-    return ObservableBasis(basis.dim, np.einsum("il,ljk->ijk", u, basis.elements))
+    d = basis.dim
+    return ObservableBasis(d, (u @ basis.elements.reshape(d2, d * d)).reshape(d2, d, d))

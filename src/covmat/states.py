@@ -137,14 +137,75 @@ def save_state(rho: DensityMatrix, path) -> None:
     Path(path).write_text(json.dumps(data))
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def parse_dims(text: str) -> tuple[int, ...]:
+    """'3x3' -> (3, 3)."""
     try:
-        dims = tuple(int(p) for p in text.split("x"))
+        return tuple(int(p) for p in text.split("x"))
     except ValueError:
         raise ValueError(f"bad dimension list {text!r}, expected e.g. '3x3'") from None
-    if not dims:
-        raise ValueError(f"bad dimension list {text!r}")
-    return dims
+
+
+def _product(dims: str) -> DensityMatrix:
+    ds = [int(p) for p in dims.split(",")]
+    return product_state([dm_from_vector(ket(d, 0), (d,)) for d in ds])
+
+
+# head -> (grammar, constructor taking the colon-separated fields)
+_LEAVES = {
+    "mes": ("mes:<d>", lambda d: max_entangled(int(d))),
+    "isotropic": ("isotropic:<d>:<x>", lambda d, x: isotropic(int(d), float(x))),
+    "product": ("product:<d1>,<d2>[,...]", _product),
+    "random_pure": ("random_pure:<d1>x<d2>[x...]:<seed>",
+                    lambda dims, seed: random_pure(parse_dims(dims), int(seed))),
+    "random_separable": ("random_separable:<dims>:<terms>:<seed>",
+                         lambda dims, terms, seed: random_separable(
+                             parse_dims(dims), int(terms), int(seed))),
+}
+_MIX_FORM = "mix:<x>:<specA>+<specB>"
+
+
+def _leaf(spec: str) -> DensityMatrix:
+    if spec == "bennett3x3":
+        return bennett_state()
+    head, _, rest = spec.partition(":")
+    if head == "file":
+        return load_state(rest)
+    if head not in _LEAVES:
+        raise ValueError(f"unknown state spec {spec!r}")
+    form, build = _LEAVES[head]
+    fields = rest.split(":")
+    if len(fields) != form.count(":"):
+        raise ValueError(f"bad state spec {spec!r}, expected {form}")
+    try:
+        return build(*fields)
+    except ValueError as exc:
+        raise ValueError(f"bad state spec {spec!r} ({exc}), expected {form}") from None
+
+
+def _operand(spec: str, chunks: list[str]) -> DensityMatrix:
+    """Consume one operand from the '+'-separated chunks of a mix spec.
+
+    A chunk `mix:<x>:<rest>` opens a mixture whose first operand starts
+    with <rest>; every mixture then takes exactly two operands, so nested
+    mixtures pair up whichever side they are on."""
+    if not chunks:
+        raise ValueError(f"bad state spec {spec!r}: a mixture is missing its second "
+                         f"operand, expected {_MIX_FORM}")
+    head = chunks.pop(0)
+    if not head:
+        raise ValueError(f"bad state spec {spec!r}: empty operand, expected {_MIX_FORM}")
+    if not head.startswith("mix:"):
+        return _leaf(head)
+    parts = head.split(":", 2)
+    if len(parts) != 3:
+        raise ValueError(f"bad state spec {spec!r}, expected {_MIX_FORM}")
+    try:
+        x = float(parts[1])
+    except ValueError:
+        raise ValueError(f"bad mixing weight {parts[1]!r} in {spec!r}") from None
+    chunks.insert(0, parts[2])
+    a = _operand(spec, chunks)
+    return mix(a, _operand(spec, chunks), x)
 
 
 def build_state(spec: str) -> DensityMatrix:
@@ -157,31 +218,17 @@ def build_state(spec: str) -> DensityMatrix:
       product:<d1>,<d2>[,...]            computational |0...0>
       random_pure:<d1>x<d2>[x...]:<seed>
       random_separable:<dims>:<terms>:<seed>
-      mix:<x>:<specA>+<specB>            (1-x)*A + x*B
+      mix:<x>:<specA>+<specB>            (1-x)*A + x*B; an operand may be a
+                                         mix itself: mix:x:mix:y:A+B+C is
+                                         mix(x, mix(y, A, B), C)
       file:<path>
     """
     spec = spec.strip()
-    if spec == "bennett3x3":
-        return bennett_state()
-    head, _, rest = spec.partition(":")
-    if head == "mes":
-        return max_entangled(int(rest))
-    if head == "isotropic":
-        d, x = rest.split(":")
-        return isotropic(int(d), float(x))
-    if head == "product":
-        dims = [int(p) for p in rest.split(",")]
-        return product_state([dm_from_vector(ket(d, 0), (d,)) for d in dims])
-    if head == "random_pure":
-        dims, seed = rest.split(":")
-        return random_pure(_parse_dims(dims), int(seed))
-    if head == "random_separable":
-        dims, terms, seed = rest.split(":")
-        return random_separable(_parse_dims(dims), int(terms), int(seed))
-    if head == "mix":
-        x, _, pair = rest.partition(":")
-        a, _, b = pair.partition("+")
-        return mix(build_state(a), build_state(b), float(x))
-    if head == "file":
-        return load_state(rest)
-    raise ValueError(f"unknown state spec {spec!r}")
+    if not spec.startswith("mix:"):
+        return _leaf(spec)
+    chunks = spec.split("+")
+    rho = _operand(spec, chunks)
+    if chunks:
+        raise ValueError(f"bad state spec {spec!r}: {'+'.join(chunks)!r} left over after "
+                         f"the mixture, expected {_MIX_FORM}")
+    return rho

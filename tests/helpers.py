@@ -1,7 +1,19 @@
-"""Shared test helpers: random orthogonal/unitary generators."""
+"""Shared test helpers: random orthogonal/unitary generators, the full
+covariance matrix and its block decomposition (reference objects the
+library's criteria do not need), and parsing `analyze` JSON back into a
+report."""
+from dataclasses import dataclass
+
 import numpy as np
 
-from covmat.linalg import DensityMatrix
+from covmat.cli import AnalysisReport
+from covmat.concurrence import ConcurrenceBounds
+from covmat.covariance import correlation_block
+from covmat.criteria import CriterionVerdict, MultipartiteReport
+from covmat.linalg import DensityMatrix, partial_trace
+from covmat.observables import ObservableBasis, pad_basis
+
+IMAG_TOL = 1e-10
 
 
 def random_orthogonal(n, seed):
@@ -24,3 +36,98 @@ def local_unitary(dims, seed):
 def apply_lu(rho, seed):
     u = local_unitary(rho.dims, seed)
     return DensityMatrix(rho.dims, u @ rho.mat @ u.conj().T)
+
+
+@dataclass(frozen=True, eq=False)
+class CovarianceBlocks:
+    """Block decomposition of the covariance matrix of a multipartite state."""
+
+    n_parties: int
+    diag: list
+    cross: dict
+
+    def block(self, i, j):
+        if i == j:
+            return self.diag[i]
+        if i < j:
+            return self.cross[(i, j)]
+        return self.cross[(j, i)].T
+
+
+def expectation(rho: DensityMatrix, m: np.ndarray) -> float:
+    """Tr(rho M) for Hermitian M; the imaginary residue must be negligible."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape != rho.mat.shape:
+        raise ValueError(f"observable shape {m.shape} does not match state {rho.mat.shape}")
+    val = complex(np.trace(rho.mat @ m))
+    if abs(val.imag) > IMAG_TOL:
+        raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
+    return val.real
+
+
+def covariance_matrix(rho: DensityMatrix, ms) -> np.ndarray:
+    """Symmetrized covariance matrix of a list of Hermitian observables.
+
+    Re Tr(rho M_i M_j) equals the anticommutator average
+    <M_i M_j + M_j M_i>/2 exactly for Hermitian inputs.
+    """
+    s = np.asarray(ms, dtype=complex)
+    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+        raise ValueError(f"observables must be a stack of square matrices, got {s.shape}")
+    if s.shape[1] != rho.total_dim:
+        raise ValueError(
+            f"observable dimension {s.shape[1]} does not match state dimension {rho.total_dim}"
+        )
+    rm = np.einsum("ij,ajk->aik", rho.mat, s)          # rho @ M_a
+    second = np.einsum("aij,bji->ab", rm, s)           # Tr(rho M_a M_b)
+    means = np.einsum("aii->a", rm).real
+    gamma = second.real - np.outer(means, means)
+    return (gamma + gamma.T) / 2
+
+
+def all_blocks(rho: DensityMatrix, bases: list[ObservableBasis]) -> CovarianceBlocks:
+    """All diagonal and cross blocks, with bases padded to a common length."""
+    n = rho.n_parties
+    if len(bases) != n:
+        raise ValueError(f"need one basis per party: {n} parties, {len(bases)} bases")
+    for k, b in enumerate(bases):
+        if b.dim != rho.dims[k]:
+            raise ValueError(f"basis {k} has dim {b.dim}, subsystem has dim {rho.dims[k]}")
+    width = max(b.padded_count for b in bases)
+    padded = [pad_basis(b, width) for b in bases]
+    diag = []
+    for k in range(n):
+        red = rho if n == 1 else partial_trace(rho, (k,))
+        diag.append(covariance_matrix(red, padded[k].elements))
+    cross = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            cross[(i, j)] = correlation_block(rho, i, j, padded[i], padded[j])
+    return CovarianceBlocks(n, diag, cross)
+
+
+def report_from_dict(d: dict) -> AnalysisReport:
+    """Rebuild an AnalysisReport from `analyze --format json` output."""
+    multi = None
+    if d.get("multipartite") is not None:
+        m = d["multipartite"]
+        pv = {}
+        for key, pair in m["pair_verdicts"].items():
+            i, j = (int(p) for p in key.split(","))
+            pv[(i, j)] = {k: CriterionVerdict(**v) for k, v in pair.items()}
+        multi = MultipartiteReport(
+            pair_verdicts=pv,
+            full_sep_refuted=m["full_sep_refuted"],
+            bisep_refuted=m["bisep_refuted"],
+            fully_entangled=m["fully_entangled"],
+        )
+    bounds = ConcurrenceBounds(**d["bounds"]) if d.get("bounds") else None
+    return AnalysisReport(
+        state_description=d["state_description"],
+        dims=list(d["dims"]),
+        purities=list(d["purities"]),
+        verdicts=[CriterionVerdict(**v) for v in d["verdicts"]],
+        multipartite=multi,
+        bounds=bounds,
+        timing_ms=d["timing_ms"],
+    )

@@ -6,18 +6,20 @@ import sys
 import numpy as np
 import pytest
 
+from covmat import covariance
 from covmat.cli import (
     EXIT_ENTANGLED,
     EXIT_ERROR,
     EXIT_OK,
     SWEEP_COLUMNS,
-    AnalysisReport,
     analyze_state,
     bench_counts,
     fmt,
     main,
 )
-from covmat.states import bennett_state, build_state, max_entangled, save_state
+from covmat.linalg import DensityMatrix
+from covmat.states import bennett_state, build_state, max_entangled, random_mixed, save_state
+from helpers import report_from_dict
 
 
 def run_cli(capsys, argv):
@@ -44,8 +46,8 @@ class TestAnalyze:
             capsys, ["analyze", "--state", "bennett3x3", "--format", "json"]
         )
         assert code == EXIT_ENTANGLED
-        rep = AnalysisReport.from_dict(json.loads(out))
-        again = AnalysisReport.from_dict(json.loads(json.dumps(rep.to_dict())))
+        rep = report_from_dict(json.loads(out))
+        again = report_from_dict(json.loads(json.dumps(rep.to_dict())))
         assert again.dims == [3, 3]
         assert again.any_entangled()
         assert {v.name for v in again.verdicts} == {"kf", "hs", "ppt", "ccnr"}
@@ -57,7 +59,7 @@ class TestAnalyze:
                      "--format", "json"]
         )
         assert code == EXIT_OK
-        rep = AnalysisReport.from_dict(json.loads(out))
+        rep = report_from_dict(json.loads(out))
         assert set(rep.multipartite.pair_verdicts) == {(0, 1), (0, 2), (1, 2)}
         assert not rep.multipartite.full_sep_refuted
 
@@ -180,3 +182,51 @@ def test_analyze_state_timing_keys():
 def test_bench_counts_rejects_unknown_kind():
     with pytest.raises(ValueError):
         bench_counts("thermal", (2, 2), 1, 3, 0)
+
+
+def assert_one_line_error(code, err):
+    assert code == EXIT_ERROR
+    assert err.startswith("error: ") and err.strip().count("\n") == 0
+
+
+class TestBadInput:
+    def test_non_finite_file_entries(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        rows = [[[0.25 if r == c else 0.0, 0.0] for c in range(4)] for r in range(4)]
+        rows[1][2] = rows[2][1] = [float("nan"), 0.0]
+        path.write_text(json.dumps({"dims": [2, 2], "matrix": rows}))
+        code, _, err = run_cli(capsys, ["analyze", "--file", str(path)])
+        assert_one_line_error(code, err)
+        assert "non-finite" in err
+
+    def test_negative_tolerance(self, capsys):
+        code, _, err = run_cli(capsys, ["analyze", "--state", "mes:2", "--tolerance", "-1"])
+        assert_one_line_error(code, err)
+        assert "--tolerance" in err
+
+    def test_one_party_bench(self, capsys):
+        code, _, err = run_cli(capsys, ["bench", "--dims", "2", "--count", "3"])
+        assert_one_line_error(code, err)
+        assert "two parties" in err
+
+    def test_empty_bench(self, capsys):
+        code, _, err = run_cli(capsys, ["bench", "--count", "0"])
+        assert_one_line_error(code, err)
+
+    def test_spec_missing_seed(self, capsys):
+        code, _, err = run_cli(capsys, ["analyze", "--state", "random_pure:2x2"])
+        assert_one_line_error(code, err)
+        assert "random_pure:<d1>x<d2>[x...]:<seed>" in err and "unpack" not in err
+
+
+def test_analyze_builds_each_matrix_once(monkeypatch):
+    # the input state is validated where it is made; analyze validates
+    # nothing further and realigns the state once for every criterion
+    rho = random_mixed((3, 4), 2)
+    validations, realigns = [], []
+    monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: validations.append(1))
+    realign = covariance.realign
+    monkeypatch.setattr(covariance, "realign", lambda r: realigns.append(1) or realign(r))
+    rep = analyze_state(rho, "random", 1e-9)
+    assert len(rep.verdicts) == 4 and rep.bounds is not None
+    assert validations == [] and len(realigns) == 1

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covmat.covariance import (
-    all_blocks,
-    correlation_block,
-    covariance_matrix,
-    expectation,
-    joint_variance_sum,
-)
+from covmat.covariance import correlation_block, joint_variance_sum
 from covmat.linalg import DensityMatrix, partial_trace, trace_norm
 from covmat.observables import gell_mann_basis, pad_basis, rotate_basis
 from covmat.states import (
@@ -20,7 +14,7 @@ from covmat.states import (
 )
 
 import oracles
-from helpers import random_orthogonal
+from helpers import all_blocks, covariance_matrix, expectation, random_orthogonal
 
 
 def qubit(p):

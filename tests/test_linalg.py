@@ -37,6 +37,20 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError, match="positive"):
             DensityMatrix((2,), np.diag([1.5, -0.5]).astype(complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix((2, 2), m)
+
+    def test_reduced_states_are_not_revalidated(self, monkeypatch):
+        rho = random_mixed((2, 3, 2), 1)
+        calls = []
+        monkeypatch.setattr(DensityMatrix, "__post_init__", lambda self: calls.append(1))
+        red = partial_trace(rho, [0, 2])
+        assert red.dims == (2, 2) and calls == []
+
     def test_rejects_dim_mismatch(self):
         with pytest.raises(InvalidStateError, match="shape"):
             DensityMatrix((2, 3), np.eye(4) / 4)

@@ -147,6 +147,26 @@ class TestBuildState:
         with pytest.raises(ValueError):
             build_state("nonsense:1:2")
 
+    def test_nested_mix_specs(self):
+        tiles, mes3, iso = bennett_state(), max_entangled(3), isotropic(3, 0.2)
+        left = build_state("mix:0.5:mix:0.5:bennett3x3+mes:3+isotropic:3:0.2")
+        np.testing.assert_allclose(left.mat, mix(mix(tiles, mes3, 0.5), iso, 0.5).mat,
+                                   atol=1e-15)
+        right = build_state("mix:0.25:bennett3x3+mix:0.5:mes:3+isotropic:3:0.2")
+        np.testing.assert_allclose(right.mat, mix(tiles, mix(mes3, iso, 0.5), 0.25).mat,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        "random_pure:2x2", "mes:abc", "isotropic:3", "product:2,x", "mix:0.5",
+        "mix:0.5:mes:3", "mix:0.5:+mes:3", "mix:0.5:mes:3+mes:3+mes:3", "mix:a:mes:3+mes:3",
+        "random_separable:3x3:5", "mix:0.5:mix:0.5:mes:3+mes:3",
+    ])
+    def test_malformed_spec_names_itself(self, spec):
+        with pytest.raises(ValueError) as exc:
+            build_state(spec)
+        msg = str(exc.value)
+        assert repr(spec) in msg and "unpack" not in msg and "\n" not in msg
+
 
 def test_isotropic_weights():
     rho = isotropic(3, 0.0)
