@@ -6,14 +6,14 @@ Subcommands:
   bench    detection-rate table over a seeded random ensemble
 
 Output goes to stdout, diagnostics to stderr.  Exit codes: 0 ran,
-2 at least one ENTANGLED verdict (analyze only), 1 error.
+2 at least one ENTANGLED verdict (analyze only), 1 error, usage errors
+included; every error is reported as one `error:` line.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 
@@ -51,25 +51,11 @@ class AnalysisReport:
         return found
 
     def to_dict(self) -> dict:
-        d = {
-            "state_description": self.state_description,
-            "dims": self.dims,
-            "purities": self.purities,
-            "verdicts": [dataclasses.asdict(v) for v in self.verdicts],
-            "multipartite": None,
-            "bounds": dataclasses.asdict(self.bounds) if self.bounds else None,
-            "timing_ms": self.timing_ms,
-        }
-        if self.multipartite is not None:
-            d["multipartite"] = {
-                "pair_verdicts": {
-                    f"{i},{j}": {k: dataclasses.asdict(v) for k, v in pv.items()}
-                    for (i, j), pv in self.multipartite.pair_verdicts.items()
-                },
-                "full_sep_refuted": self.multipartite.full_sep_refuted,
-                "bisep_refuted": self.multipartite.bisep_refuted,
-                "fully_entangled": self.multipartite.fully_entangled,
-            }
+        """JSON-ready form; the pair (i, j) is keyed "i,j"."""
+        d = dataclasses.asdict(self)
+        if d["multipartite"] is not None:
+            pairs = d["multipartite"]["pair_verdicts"]
+            d["multipartite"]["pair_verdicts"] = {f"{i},{j}": v for (i, j), v in pairs.items()}
         return d
 
 
@@ -78,49 +64,31 @@ def fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _resolve_state(args) -> tuple[DensityMatrix, str]:
-    if getattr(args, "file", None):
-        return load_state(args.file), f"file:{args.file}"
-    if getattr(args, "state", None):
-        return build_state(args.state), args.state
-    raise ValueError("no state given; use --state or --file")
+def _bipartite_verdicts(summary: StateSummary, tol: float) -> list[CriterionVerdict]:
+    """The four bipartite criteria, in the order kf, hs, ppt, ccnr."""
+    return [fn(summary, tol) for fn in (crit.kf_criterion, crit.hs_criterion,
+                                        crit.ppt_criterion, crit.ccnr_criterion)]
 
 
 def analyze_state(rho: DensityMatrix, description: str, tol: float) -> AnalysisReport:
-    summary = StateSummary(rho)
     timing: dict[str, float] = {}
-    t0 = time.perf_counter()
-    purities = summary.purities
-    timing["purities"] = (time.perf_counter() - t0) * 1000
 
-    verdicts: list[CriterionVerdict] = []
-    multi = None
-    bounds = None
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        result = fn(*args)
+        timing[stage] = (time.perf_counter() - t0) * 1000
+        return result
+
+    summary = timed("purities", StateSummary, rho)
+    verdicts, multi, bounds = [], None, None
     if rho.n_parties == 2:
-        t0 = time.perf_counter()
-        verdicts = [
-            crit.kf_criterion(summary, tol),
-            crit.hs_criterion(summary, tol),
-            crit.ppt_criterion(summary, tol),
-            crit.ccnr_criterion(summary, tol),
-        ]
-        timing["criteria"] = (time.perf_counter() - t0) * 1000
-        t0 = time.perf_counter()
-        bounds = conc.all_bounds(summary)
-        timing["bounds"] = (time.perf_counter() - t0) * 1000
+        verdicts = timed("criteria", _bipartite_verdicts, summary, tol)
+        bounds = timed("bounds", conc.all_bounds, summary)
     else:
-        t0 = time.perf_counter()
-        multi = crit.multipartite_full_sep(summary, tol)
-        timing["criteria"] = (time.perf_counter() - t0) * 1000
-    return AnalysisReport(
-        state_description=description,
-        dims=list(rho.dims),
-        purities=purities,
-        verdicts=verdicts,
-        multipartite=multi,
-        bounds=bounds,
-        timing_ms=timing,
-    )
+        multi = timed("criteria", crit.multipartite_full_sep, summary, tol)
+    return AnalysisReport(state_description=description, dims=list(rho.dims),
+                          purities=summary.purities, verdicts=verdicts, multipartite=multi,
+                          bounds=bounds, timing_ms=timing)
 
 
 def _print_text_report(rep: AnalysisReport, out) -> None:
@@ -152,7 +120,10 @@ def _print_text_report(rep: AnalysisReport, out) -> None:
 
 
 def cmd_analyze(args) -> int:
-    rho, description = _resolve_state(args)
+    if args.file is not None:
+        rho, description = load_state(args.file), f"file:{args.file}"
+    else:
+        rho, description = build_state(args.state), args.state
     rep = analyze_state(rho, description, args.tolerance)
     if args.format == "json":
         print(json.dumps(rep.to_dict()))
@@ -176,30 +147,22 @@ SWEEP_COLUMNS = ("x", "bound10", "bound11", "bound12", "kf_margin",
                  "hs_margin", "ppt_min_eig", "ccnr_norm")
 
 
-def sweep_rows(base: DensityMatrix, target: DensityMatrix, grid: np.ndarray,
-               tol: float = crit.DECISION_TOL):
+def sweep_rows(base: DensityMatrix, target: DensityMatrix, grid: np.ndarray):
+    """One row per x; no column depends on the decision tolerance."""
     for x in grid:
         s = StateSummary(mix(base, target, float(x)))
-        yield (
-            float(x),
-            conc.bound_ccnr_ppt(s),
-            conc.bound_lur(s),
-            conc.bound_optimized(s),
-            crit.kf_criterion(s, tol).margin,
-            crit.hs_criterion(s, tol).margin,
-            crit.ppt_criterion(s, tol).details["min_eigenvalue"],
-            crit.ccnr_criterion(s, tol).lhs,
-        )
+        kf, hs, ppt, ccnr = _bipartite_verdicts(s, crit.DECISION_TOL)
+        yield (float(x), conc.bound_ccnr_ppt(s), conc.bound_lur(s), conc.bound_optimized(s),
+               kf.margin, hs.margin, ppt.details["min_eigenvalue"], ccnr.lhs)
 
 
 def cmd_sweep(args) -> int:
-    base = build_state(args.base)
-    target = build_state(args.target)
+    base, target = build_state(args.base), build_state(args.target)
     grid = _parse_grid(args.grid)
     if base.dims != target.dims:
         raise ValueError(f"incompatible dims {base.dims} vs {target.dims}")
     print(",".join(SWEEP_COLUMNS))
-    for row in sweep_rows(base, target, grid, args.tolerance):
+    for row in sweep_rows(base, target, grid):
         print(",".join(fmt(v) for v in row))
     return EXIT_OK
 
@@ -212,6 +175,8 @@ def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
     if count < 1:
         raise ValueError(f"bench needs a positive --count, got {count}")
     counts = {"kf": 0, "hs": 0, "ppt": 0, "ccnr": 0, "states": count}
+    if len(dims) > 2:
+        counts["pairwise"] = 0
     rng = np.random.default_rng(seed)
     for _ in range(count):
         sub = int(rng.integers(0, 2 ** 63))
@@ -223,15 +188,10 @@ def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
             raise ValueError(f"unknown ensemble kind {kind!r}")
         summary = StateSummary(rho)
         if len(dims) == 2:
-            for name, fn in (("kf", crit.kf_criterion), ("hs", crit.hs_criterion),
-                             ("ppt", crit.ppt_criterion), ("ccnr", crit.ccnr_criterion)):
-                if fn(summary, tol).conclusion == crit.ENTANGLED:
-                    counts[name] += 1
+            for v in _bipartite_verdicts(summary, tol):
+                counts[v.name] += v.conclusion == crit.ENTANGLED
         else:
-            rep = crit.multipartite_full_sep(summary, tol)
-            counts.setdefault("pairwise", 0)
-            if rep.full_sep_refuted:
-                counts["pairwise"] += 1
+            counts["pairwise"] += crit.multipartite_full_sep(summary, tol).full_sep_refuted
     return counts
 
 
@@ -247,32 +207,42 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("COVMAT_SEED", "0"))
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so that `main` reports it like any other."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also refuses NaN
+        raise argparse.ArgumentTypeError(f"must be a non-negative number, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="covmat",
-                                description="Covariance-matrix entanglement criteria "
-                                            "and concurrence lower bounds")
+    p = _Parser(prog="covmat",
+                description="Covariance-matrix entanglement criteria "
+                            "and concurrence lower bounds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--tolerance", type=float, default=crit.DECISION_TOL,
+    def decision_options(sp):
+        sp.add_argument("--tolerance", type=non_negative_float, default=crit.DECISION_TOL,
                         help="decision tolerance for strict inequalities")
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sp.add_argument("--format", choices=("text", "json"), default="text")
 
     a = sub.add_parser("analyze", help="run criteria and bounds on one state")
-    a.add_argument("--state", help="state spec, e.g. bennett3x3, mes:3, isotropic:3:0.5")
-    a.add_argument("--file", help="JSON state file")
-    common(a)
+    source = a.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", help="state spec, e.g. bennett3x3, mes:3, isotropic:3:0.5")
+    source.add_argument("--file", help="JSON state file")
+    decision_options(a)
     a.set_defaults(fn=cmd_analyze)
 
     s = sub.add_parser("sweep", help="CSV sweep of (1-x)*base + x*target")
     s.add_argument("--base", default="bennett3x3")
     s.add_argument("--target", default="mes:3")
     s.add_argument("--grid", default="0:1:101", help="start:stop:steps")
-    common(s)
     s.set_defaults(fn=cmd_sweep)
 
     b = sub.add_parser("bench", help="detection rates over a random ensemble")
@@ -280,19 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--dims", default="3x3")
     b.add_argument("--count", type=int, default=1000)
     b.add_argument("--terms", type=int, default=5)
-    b.add_argument("--seed", type=int, default=None)
-    common(b)
+    b.add_argument("--seed", type=int, default=0)
+    decision_options(b)
     b.set_defaults(fn=cmd_bench)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None:
-        args.seed = _default_seed()
     try:
-        if not args.tolerance >= 0:
-            raise ValueError(f"--tolerance must be a non-negative number, got {args.tolerance}")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

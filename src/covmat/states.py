@@ -119,22 +119,30 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
     return DensityMatrix(dims, acc)
 
 
+FILE_FORM = '{"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]}'
+
+
 def load_state(path) -> DensityMatrix:
-    """Load a state from a JSON file: {"dims": [...], "matrix": [[[re, im], ...], ...]}."""
+    """Load a state from a JSON file of the form FILE_FORM: the D x D
+    matrix, D = d1 * d2 * ..., with each entry an [re, im] pair."""
     with open(path) as fh:
-        data = json.load(fh)
-    dims = tuple(int(d) for d in data["dims"])
-    rows = data["matrix"]
-    mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    return DensityMatrix(dims, mat)
+        try:
+            data = json.load(fh)
+            dims = tuple(int(d) for d in data["dims"])
+            parts = np.asarray(data["matrix"], dtype=float)
+            D = int(np.prod(dims))
+            if parts.shape != (D, D, 2):
+                raise ValueError(f"matrix has shape {parts.shape}, dims need ({D}, {D}, 2)")
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidStateError(
+                f"bad state file {path} ({exc!r}), expected {FILE_FORM}") from None
+    return DensityMatrix(dims, parts.view(complex)[..., 0])
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    data = {
-        "dims": list(rho.dims),
-        "matrix": [[[z.real, z.imag] for z in row] for row in rho.mat],
-    }
-    Path(path).write_text(json.dumps(data))
+    """Write `rho` in the form `load_state` reads."""
+    matrix = np.stack([rho.mat.real, rho.mat.imag], -1).tolist()
+    Path(path).write_text(json.dumps({"dims": list(rho.dims), "matrix": matrix}))
 
 
 def parse_dims(text: str) -> tuple[int, ...]:

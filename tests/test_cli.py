@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from covmat import covariance
+from covmat import cli, covariance
 from covmat.cli import (
     EXIT_ENTANGLED,
     EXIT_ERROR,
@@ -17,6 +18,7 @@ from covmat.cli import (
     fmt,
     main,
 )
+from covmat.covariance import StateSummary
 from covmat.linalg import DensityMatrix
 from covmat.states import bennett_state, build_state, max_entangled, random_mixed, save_state
 from helpers import report_from_dict
@@ -146,12 +148,16 @@ class TestBench:
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
 
-    def test_env_seed_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("COVMAT_SEED", "42")
-        argv = ["bench", "--count", "10", "--format", "json"]
-        _, out_env, _ = run_cli(capsys, argv)
-        _, out_explicit, _ = run_cli(capsys, argv + ["--seed", "42"])
-        assert out_env == out_explicit
+    def test_seed_selects_the_ensemble(self, capsys):
+        # a pure ensemble at a loose tolerance is seed-sensitive, unlike a
+        # separable one, which gives all-zero counts for every seed
+        argv = ["bench", "--kind", "pure", "--dims", "2x2", "--count", "20",
+                "--tolerance", "0.2", "--format", "json"]
+        _, out_default, _ = run_cli(capsys, argv)
+        _, out0, _ = run_cli(capsys, argv + ["--seed", "0"])
+        _, out1, _ = run_cli(capsys, argv + ["--seed", "1"])
+        assert out_default == out0
+        assert json.loads(out0) != json.loads(out1)
 
     def test_tripartite_path(self, capsys):
         _, out, _ = run_cli(
@@ -177,6 +183,17 @@ def test_analyze_state_timing_keys():
     rep = analyze_state(bennett_state(), "bennett3x3", 1e-9)
     assert {"purities", "criteria", "bounds"} <= set(rep.timing_ms)
     assert all(t >= 0 for t in rep.timing_ms.values())
+
+
+def test_purities_stage_times_the_summary(monkeypatch):
+    # the summary computes the marginals and purities, so their stage includes it
+    def slow_summary(rho):
+        time.sleep(0.01)
+        return StateSummary(rho)
+
+    monkeypatch.setattr(cli, "StateSummary", slow_summary)
+    rep = analyze_state(max_entangled(2), "mes:2", 1e-9)
+    assert rep.timing_ms["purities"] >= 10
 
 
 def test_bench_counts_rejects_unknown_kind():
@@ -212,6 +229,45 @@ class TestBadInput:
     def test_empty_bench(self, capsys):
         code, _, err = run_cli(capsys, ["bench", "--count", "0"])
         assert_one_line_error(code, err)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--state", "mes:2", "--bogus"],
+        ["bench", "--count", "abc"],
+        ["analyze", "--state", "mes:2", "--format", "xml"],
+        ["frobnicate"],
+        ["analyze", "--state", "mes:2", "--format", "csv"],
+        ["sweep", "--tolerance", "1"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv)
+        assert_one_line_error(code, err)
+
+    def test_state_and_file_together(self, capsys, tmp_path):
+        path = tmp_path / "mes2.json"
+        save_state(max_entangled(2), str(path))
+        code, _, err = run_cli(capsys, ["analyze", "--state", "product:2,2", "--file", str(path)])
+        assert_one_line_error(code, err)
+        assert "--file" in err and "--state" in err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", [
+        {"dims": [2, 2], "matrix": [[0.25, 0, 0, 0]] * 4},   # numbers, not [re, im]
+        {"matrix": [[[1, 0]]]},                               # no "dims"
+        [[[1, 0]]],                                           # a list at the top
+        {"dims": [2, 2], "matrix": [["re", "im"] * 2] * 4},   # strings
+        {"dims": [2, 2], "matrix": [[[0.5, 0], [0, 0]]] * 2},  # 2x2 entries for D = 4
+    ])
+    def test_malformed_file(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        code, _, err = run_cli(capsys, ["analyze", "--file", str(path)])
+        assert_one_line_error(code, err)
+        assert '"matrix": [[[re, im], ...], ...]' in err
 
     def test_spec_missing_seed(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--state", "random_pure:2x2"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from covmat.states import (
     max_entangled,
     mix,
     product_state,
+    random_mixed,
     random_pure,
     random_separable,
     save_state,
@@ -117,6 +120,14 @@ class TestFileRoundTrip:
         loaded = load_state(path)
         assert loaded.dims == rho.dims
         np.testing.assert_allclose(loaded.mat, rho.mat, atol=1e-15)
+
+    def test_file_bytes_and_exact_round_trip(self, tmp_path):
+        path = tmp_path / "state.json"
+        rho = random_mixed((2, 3), 4)
+        save_state(rho, path)
+        entries = [[[z.real, z.imag] for z in row] for row in rho.mat]
+        assert path.read_text() == json.dumps({"dims": [2, 3], "matrix": entries})
+        np.testing.assert_array_equal(load_state(path).mat, rho.mat)
 
 
 class TestBuildState:
