@@ -161,8 +161,9 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     if base.dims != target.dims:
         raise ValueError(f"incompatible dims {base.dims} vs {target.dims}")
+    rows = list(sweep_rows(base, target, grid))  # a failing row prints nothing
     print(",".join(SWEEP_COLUMNS))
-    for row in sweep_rows(base, target, grid):
+    for row in rows:
         print(",".join(fmt(v) for v in row))
     return EXIT_OK
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import (StateLike, StateSummary, joint_variance_sum, paired_variance_sum,
-                         summarize)
+from .covariance import StateLike, StateSummary, correlation_block, summarize
 from .linalg import partial_trace
 from .observables import ObservableBasis, gell_mann_basis, rotate_basis
 from .states import dm_from_vector
@@ -77,11 +76,11 @@ def bound_lur(
     s = summarize(rho, "concurrence bounds")
     m, n = _mn(s)
     if basis_a is None and basis_b is None:
-        jvs = paired_variance_sum(s.dims, s.purities, s.pair()[0])
+        block = s.pair()[0]
     else:
-        jvs = joint_variance_sum(s.state, basis_a or gell_mann_basis(s.dims[0]),
-                                 basis_b or gell_mann_basis(s.dims[1]))
-    return float((m + n - 2.0 - jvs) / np.sqrt(2.0 * m * (m - 1)))
+        block = correlation_block(s, 0, 1, basis_a or gell_mann_basis(s.dims[0]),
+                                  basis_b or gell_mann_basis(s.dims[1]))
+    return float((m + n - 2.0 - s.variance_sum(block)) / np.sqrt(2.0 * m * (m - 1)))
 
 
 def bound_optimized(rho: StateLike) -> float:

@@ -68,8 +68,17 @@ def make_verdict(name, lhs, rhs, tol=DECISION_TOL, details=None) -> CriterionVer
                             details or {})
 
 
-def _entropies(s: StateSummary, i: int, j: int) -> tuple[float, float]:
-    return 1.0 - s.purities[i], 1.0 - s.purities[j]
+def _kf(s: StateSummary, i: int, j: int, tol: float, name: str,
+        details: dict | None = None) -> CriterionVerdict:
+    """||C_ij||_KF <= ((1 - tr rho_i^2) + (1 - tr rho_j^2)) / 2."""
+    ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
+    return make_verdict(name, s.pair(i, j)[1].sum(), (ei + ej) / 2, tol, details)
+
+
+def _hs(s: StateSummary, i: int, j: int, tol: float, name: str) -> CriterionVerdict:
+    """||C_ij||_HS^2 <= (1 - tr rho_i^2)(1 - tr rho_j^2)."""
+    ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
+    return make_verdict(name, (s.pair(i, j)[1] ** 2).sum(), ei * ej, tol)
 
 
 def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
@@ -79,17 +88,13 @@ def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     precursor) is reported in details.
     """
     s = summarize(rho, "trace-norm criterion")
-    c, sv = s.pair()
-    ea, eb = _entropies(s, 0, 1)
-    return make_verdict("kf", sv.sum(), (ea + eb) / 2, tol,
-                        details={"diag_abs_sum": float(np.abs(np.diagonal(c)).sum())})
+    diag_abs_sum = float(np.abs(np.diagonal(s.pair()[0])).sum())
+    return _kf(s, 0, 1, tol, "kf", details={"diag_abs_sum": diag_abs_sum})
 
 
 def hs_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Frobenius criterion: ||C||_HS^2 <= (1-tr rho_A^2)(1-tr rho_B^2)."""
-    s = summarize(rho, "Frobenius criterion")
-    ea, eb = _entropies(s, 0, 1)
-    return make_verdict("hs", (s.pair()[1] ** 2).sum(), ea * eb, tol)
+    return _hs(summarize(rho, "Frobenius criterion"), 0, 1, tol, "hs")
 
 
 def ppt_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
@@ -104,39 +109,35 @@ def ccnr_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdic
     return make_verdict("ccnr", summarize(rho, "CCNR criterion").realign_norm, 1.0, tol)
 
 
-def _pair_verdicts(s: StateSummary, pairs, tol) -> dict:
-    out = {}
-    for (i, j) in pairs:
-        ei, ej = _entropies(s, i, j)
-        sv = s.pair(i, j)[1]
-        out[(i, j)] = {
-            "hs": make_verdict(f"hs_{i}{j}", (sv ** 2).sum(), ei * ej, tol),
-            "kf": make_verdict(f"kf_{i}{j}", sv.sum(), (ei + ej) / 2, tol),
-        }
-    return out
-
-
-def _count_violations(pair_verdicts) -> tuple[int, int]:
-    hs = sum(1 for v in pair_verdicts.values() if v["hs"].conclusion == ENTANGLED)
-    kf = sum(1 for v in pair_verdicts.values() if v["kf"].conclusion == ENTANGLED)
-    return hs, kf
+def _report(s: StateSummary, pairs, tol: float, partition: str | None = None
+            ) -> MultipartiteReport:
+    """Both norm inequalities on every listed pair.  A violation refutes full
+    separability, and the partition when one is named."""
+    verdicts = {(i, j): {"hs": _hs(s, i, j, tol, f"hs_{i}{j}"),
+                         "kf": _kf(s, i, j, tol, f"kf_{i}{j}")} for (i, j) in pairs}
+    hs_v, kf_v = (sum(v[k].conclusion == ENTANGLED for v in verdicts.values())
+                  for k in ("hs", "kf"))
+    refuted = hs_v + kf_v > 0
+    return MultipartiteReport(
+        pair_verdicts=verdicts,
+        full_sep_refuted=refuted,
+        bisep_refuted={partition: refuted} if partition else {},
+        fully_entangled=hs_v >= 2 or kf_v >= 2,
+    )
 
 
 def multipartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:
-    """Full-separability test for N parties: every cross block must obey
-    both norm inequalities.  Two violations within one norm family imply
-    the state is fully entangled (no bipartite cut is separable)."""
+    """Full-separability test for N >= 2 parties: every cross block must
+    obey both norm inequalities.  `fully_entangled` is set when one norm
+    family is violated on two or more pairs.  For three parties any two
+    pairs cross every bipartite cut, so then no cut is separable; for four
+    or more it only counts violations: Phi+ x Phi+ on 2x2x2x2 sets it,
+    yet is a product across {0,1}|{2,3}."""
     s = summarize(rho)
     n = len(s.dims)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    verdicts = _pair_verdicts(s, pairs, tol)
-    hs_v, kf_v = _count_violations(verdicts)
-    return MultipartiteReport(
-        pair_verdicts=verdicts,
-        full_sep_refuted=hs_v + kf_v > 0,
-        bisep_refuted={},
-        fully_entangled=hs_v >= 2 or kf_v >= 2,
-    )
+    if n < 2:
+        raise ValueError(f"full separability test requires at least two parties, got {n}")
+    return _report(s, [(i, j) for i in range(n) for j in range(i + 1, n)], tol)
 
 
 def tripartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:
@@ -157,12 +158,4 @@ def tripartite_bisep(
         raise ValueError(f"biseparability test requires 3 parties, got {len(s.dims)}")
     if partition not in _BISEP_PAIRS:
         raise ValueError(f"unknown partition {partition!r}, expected one of {TRIPARTITE_PARTITIONS}")
-    verdicts = _pair_verdicts(s, _BISEP_PAIRS[partition], tol)
-    hs_v, kf_v = _count_violations(verdicts)
-    refuted = hs_v + kf_v > 0
-    return MultipartiteReport(
-        pair_verdicts=verdicts,
-        full_sep_refuted=refuted,
-        bisep_refuted={partition: refuted},
-        fully_entangled=hs_v >= 2 or kf_v >= 2,
-    )
+    return _report(s, _BISEP_PAIRS[partition], tol, partition)

@@ -52,10 +52,6 @@ class ObservableBasis:
         if k > d * d and np.abs(el[d * d:]).max() != 0.0:
             raise ValueError("padding elements beyond d^2 must be exactly zero")
 
-    @property
-    def padded_count(self) -> int:
-        return self.elements.shape[0]
-
     def __len__(self) -> int:
         return self.elements.shape[0]
 
@@ -96,13 +92,11 @@ def pad_basis(basis: ObservableBasis, target: int) -> ObservableBasis:
     d2 = basis.dim * basis.dim
     if target < d2:
         raise ValueError(f"target {target} smaller than d^2={d2}")
-    if target == basis.padded_count:
+    if target == len(basis):
         return basis
-    if target < basis.padded_count:
-        raise ValueError(
-            f"target {target} smaller than current count {basis.padded_count}"
-        )
-    zeros = np.zeros((target - basis.padded_count, basis.dim, basis.dim), dtype=complex)
+    if target < len(basis):
+        raise ValueError(f"target {target} smaller than current count {len(basis)}")
+    zeros = np.zeros((target - len(basis), basis.dim, basis.dim), dtype=complex)
     return ObservableBasis(basis.dim, np.concatenate([basis.elements, zeros]))
 
 
@@ -113,7 +107,7 @@ def rotate_basis(basis: ObservableBasis, u: np.ndarray) -> ObservableBasis:
     unpadded bases can be rotated (mixing would smear the zero padding).
     """
     d2 = basis.dim * basis.dim
-    if basis.padded_count != d2:
+    if len(basis) != d2:
         raise ValueError("cannot rotate a padded basis")
     u = np.asarray(u, dtype=float)
     if u.shape != (d2, d2):

@@ -93,7 +93,7 @@ def all_blocks(rho: DensityMatrix, bases: list[ObservableBasis]) -> CovarianceBl
     for k, b in enumerate(bases):
         if b.dim != rho.dims[k]:
             raise ValueError(f"basis {k} has dim {b.dim}, subsystem has dim {rho.dims[k]}")
-    width = max(b.padded_count for b in bases)
+    width = max(len(b) for b in bases)
     padded = [pad_basis(b, width) for b in bases]
     diag = []
     for k in range(n):

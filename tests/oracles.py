@@ -71,10 +71,15 @@ def realign_brute(mat, dims):
 
 
 def trace_norm_brute(m):
-    """Sum of singular values via the eigenvalues of M M^dag."""
+    """Sum of singular values: the Hermitian dilation [[0, M], [M^dag, 0]]
+    has eigenvalues +-s_i plus zeros, so the norm is half the sum of their
+    absolute values.  No square roots, so rank-deficient M loses nothing."""
     m = np.asarray(m, dtype=complex)
-    evs = np.linalg.eigvalsh(m @ m.conj().T)
-    return float(np.sqrt(np.clip(evs, 0.0, None)).sum())
+    r, c = m.shape
+    dilation = np.zeros((r + c, r + c), dtype=complex)
+    dilation[:r, r:] = m
+    dilation[r:, :r] = m.conj().T
+    return float(np.abs(np.linalg.eigvalsh(dilation)).sum() / 2)
 
 
 def hs_norm_brute(m):

@@ -230,6 +230,23 @@ class TestBadInput:
         code, _, err = run_cli(capsys, ["bench", "--count", "0"])
         assert_one_line_error(code, err)
 
+    def test_one_party_analyze(self, capsys, tmp_path):
+        path = tmp_path / "qutrit.json"
+        save_state(build_state("product:3"), str(path))
+        for source in (["--state", "product:2"], ["--file", str(path), "--format", "json"]):
+            code, out, err = run_cli(capsys, ["analyze", *source])
+            assert_one_line_error(code, err)
+            assert out == "" and "two parties" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--grid", "0:1.5:4"],                                  # x = 1.5 is no mixture
+        ["sweep", "--base", "product:2,2,2", "--target", "product:2,2,2"],  # not bipartite
+    ])
+    def test_failing_sweep_prints_nothing(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert_one_line_error(code, err)
+        assert out == ""
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--state", "mes:2", "--bogus"],
         ["bench", "--count", "abc"],

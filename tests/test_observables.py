@@ -13,7 +13,7 @@ from helpers import random_orthogonal
 class TestGellMannBasis:
     def test_count_and_unit_norm(self, d):
         b = gell_mann_basis(d)
-        assert b.padded_count == d * d
+        assert len(b) == d * d
         for m in b.elements:
             assert np.trace(m @ m).real == pytest.approx(1.0, abs=1e-12)
 
@@ -49,7 +49,7 @@ def test_dimension_below_two_rejected():
 class TestPadBasis:
     def test_pads_with_zeros(self):
         padded = pad_basis(gell_mann_basis(2), 9)
-        assert padded.padded_count == 9
+        assert len(padded) == 9
         assert np.abs(padded.elements[4:]).max() == 0.0
 
     def test_identity_when_target_matches(self):

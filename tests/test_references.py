@@ -1,19 +1,23 @@
 """The library against slow references and exact concurrence values.
 
 The references live in oracles.py: the former O(d^8) einsum cross block,
-the former Kronecker-operator variance sum, Wootters' two-qubit
-concurrence and the Rungta-Caves isotropic value.  The tolerances were
-fixed before the comparison: 1e-12 absolute against the two former
-implementations (entries are O(1) and each side rounds at about 1e-15 per
-operation), and 1e-8 against the mixed-state Wootters form, which takes
-square roots of eigenvalues that are zero up to rounding.
+the former Kronecker-operator variance sum, the trace norm from a
+Hermitian dilation, Wootters' two-qubit concurrence and the Rungta-Caves
+isotropic value.  The tolerances were fixed before the comparison: 1e-12
+absolute against the two former implementations (entries are O(1) and
+each side rounds at about 1e-15 per operation), and 1e-8 against the
+mixed-state Wootters form, which takes square roots of eigenvalues that
+are zero up to rounding.
 """
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from covmat import concurrence, covariance
 from covmat.concurrence import all_bounds, bound_ccnr_ppt, bound_lur, bound_optimized, svd_rotated_bases
-from covmat.covariance import correlation_block, joint_variance_sum
+from covmat.covariance import StateSummary, correlation_block, joint_variance_sum
 from covmat.criteria import multipartite_full_sep
 from covmat.observables import gell_mann_basis, pad_basis, rotate_basis
 from covmat.states import isotropic, random_mixed
@@ -48,23 +52,57 @@ def purities(mat, dims):
     return out
 
 
+def basis_results(source, ba, bb):
+    """Both orientations of the cross block, the variance sum and the
+    variance bound in the given bases."""
+    return (correlation_block(source, 0, 1, ba, bb), correlation_block(source, 1, 0, bb, ba),
+            joint_variance_sum(source, ba, bb), bound_lur(source, ba, bb))
+
+
 @pytest.mark.parametrize("dims", SHAPES)
 def test_block_and_variance_sum_match_former_implementations(dims):
     m, n = min(dims), max(dims)
     for seed in range(2):
         rho = random_mixed(dims, seed)
+        summary = StateSummary(rho)
         for label, ba, bb in basis_pairs(dims, seed):
             want = oracles.corr_block_einsum(rho.mat, dims, ba.elements, bb.elements)
-            got = correlation_block(rho, 0, 1, ba, bb)
-            assert np.abs(got - want).max() <= REF_TOL, label
-            assert np.abs(correlation_block(rho, 1, 0, bb, ba) - want.T).max() <= REF_TOL, label
             jvs = oracles.joint_variance_kron(rho.mat, dims, ba.elements, bb.elements)
-            assert abs(joint_variance_sum(rho, ba, bb) - jvs) <= REF_TOL, label
             lur = (m + n - 2 - jvs) / np.sqrt(2 * m * (m - 1))
-            assert abs(bound_lur(rho, ba, bb) - lur) <= REF_TOL, label
+            from_state = basis_results(rho, ba, bb)
+            got, got_t, got_jvs, got_lur = from_state
+            assert np.abs(got - want).max() <= REF_TOL, label
+            assert np.abs(got_t - want.T).max() <= REF_TOL, label
+            assert abs(got_jvs - jvs) <= REF_TOL, label
+            assert abs(got_lur - lur) <= REF_TOL, label
+            # a summary as input gives the same bits as the state
+            for a, b in zip(basis_results(summary, ba, bb), from_state):
+                assert np.array_equal(a, b), label
         jvs = oracles.joint_variance_kron(rho.mat, dims, gell_mann_basis(dims[0]).elements,
                                           gell_mann_basis(dims[1]).elements)
         assert abs(bound_lur(rho) - (m + n - 2 - jvs) / np.sqrt(2 * m * (m - 1))) <= REF_TOL
+        assert bound_lur(summary) == bound_lur(rho)
+
+
+def test_given_bases_read_the_summary(monkeypatch):
+    # once the summary holds R(rho), the block, the variance sum and the
+    # bound in any other bases need no partial trace and no realignment
+    dims = (3, 4)
+    summary = StateSummary(random_mixed(dims, 0))
+    summary.realigned
+    calls = Counter()
+    for module in (covariance, concurrence):
+        for name in ("partial_trace", "realign"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name:
+                                    calls.update([_name]) or _fn(*a))
+    for _, ba, bb in basis_pairs(dims, 0):
+        bound_lur(summary, ba, bb)
+    assert calls == Counter()
+    for _, ba, bb in basis_pairs(dims, 0):
+        basis_results(summary, ba, bb)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -89,9 +127,8 @@ def test_multipartite_pairs_match_reference_blocks():
         red = oracles.ptrace_brute(rho.mat, dims, [i, j])
         gi, gj = gell_mann_basis(dims[i]).elements, gell_mann_basis(dims[j]).elements
         block = oracles.corr_block_einsum(red, (dims[i], dims[j]), gi, gj)
-        s = np.linalg.svd(block, compute_uv=False)
-        assert abs(pair["kf"].lhs - s.sum()) <= REF_TOL
-        assert abs(pair["hs"].lhs - (s ** 2).sum()) <= REF_TOL
+        assert abs(pair["kf"].lhs - oracles.trace_norm_brute(block)) <= REF_TOL
+        assert abs(pair["hs"].lhs - oracles.hs_norm_brute(block) ** 2) <= REF_TOL
         got = correlation_block(rho, j, i, gell_mann_basis(dims[j]), gell_mann_basis(dims[i]))
         assert np.abs(got - block.T).max() <= REF_TOL
 
