@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -146,14 +147,28 @@ def _parse_grid(text: str) -> np.ndarray:
 SWEEP_COLUMNS = ("x", "bound10", "bound11", "bound12", "kf_margin",
                  "hs_margin", "ppt_min_eig", "ccnr_norm")
 
+# `sweep` and `bench` summarise their states in chunks of as many D x D
+# complex matrices as fit in 64 KiB: 50 states at 3x3, 64 at 2x4.  A chunk's
+# summary holds a few stacks of that size at once, so the chunk size sets
+# the memory a call adds, and the benchmark bounds peak RSS at 5%.
+CHUNK_BYTES = 64 * 1024
+
+
+def chunk_size(total_dim: int) -> int:
+    """States per chunk for D x D complex matrices, D = `total_dim`."""
+    return max(1, CHUNK_BYTES // (16 * total_dim * total_dim))
+
 
 def sweep_rows(base: DensityMatrix, target: DensityMatrix, grid: np.ndarray):
     """One row per x; no column depends on the decision tolerance."""
-    for x in grid:
-        s = StateSummary(mix(base, target, float(x)))
-        kf, hs, ppt, ccnr = _bipartite_verdicts(s, crit.DECISION_TOL)
-        yield (float(x), conc.bound_ccnr_ppt(s), conc.bound_lur(s), conc.bound_optimized(s),
-               kf.margin, hs.margin, ppt.details["min_eigenvalue"], ccnr.lhs)
+    step = chunk_size(base.total_dim)
+    for start in range(0, len(grid), step):
+        xs = np.asarray(grid[start:start + step], dtype=float)
+        s = StateSummary(mix(base, target, xs))
+        columns = (xs, conc.bound_ccnr_ppt(s), conc.bound_lur(s), conc.bound_optimized(s),
+                   np.subtract(*crit.kf_sides(s)), np.subtract(*crit.hs_sides(s)),
+                   s.pt_spectrum[:, 0], s.realign_norm)
+        yield from zip(*(c.tolist() for c in columns))
 
 
 def cmd_sweep(args) -> int:
@@ -168,31 +183,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def bench_counts(kind: str, dims, count: int, terms: int, seed: int,
+DEFAULT_TERMS = 5
+
+
+def bench_counts(kind: str, dims, count: int, terms: int | None, seed: int,
                  tol: float = crit.DECISION_TOL) -> dict[str, int]:
-    """Detection counts per criterion over a seeded ensemble."""
+    """Detection counts per criterion over a seeded ensemble.  `terms`
+    applies to separable ensembles only (DEFAULT_TERMS when None)."""
     if len(dims) < 2:
         raise ValueError(f"bench needs at least two parties, got dims {dims}")
     if count < 1:
         raise ValueError(f"bench needs a positive --count, got {count}")
+    if kind == "separable":
+        terms = DEFAULT_TERMS if terms is None else terms
+        generate = partial(random_separable, dims, terms)
+    elif kind == "pure":
+        if terms is not None:
+            raise ValueError("--terms applies to separable ensembles only")
+        generate = partial(random_pure, dims)
+    else:
+        raise ValueError(f"unknown ensemble kind {kind!r}")
     counts = {"kf": 0, "hs": 0, "ppt": 0, "ccnr": 0, "states": count}
     if len(dims) > 2:
         counts["pairwise"] = 0
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        sub = int(rng.integers(0, 2 ** 63))
-        if kind == "separable":
-            rho = random_separable(dims, terms, sub)
-        elif kind == "pure":
-            rho = random_pure(dims, sub)
-        else:
-            raise ValueError(f"unknown ensemble kind {kind!r}")
-        summary = StateSummary(rho)
-        if len(dims) == 2:
-            for v in _bipartite_verdicts(summary, tol):
-                counts[v.name] += v.conclusion == crit.ENTANGLED
-        else:
-            counts["pairwise"] += crit.multipartite_full_sep(summary, tol).full_sep_refuted
+    step = chunk_size(int(np.prod(dims)))
+    for start in range(0, count, step):
+        subs = [int(rng.integers(0, 2 ** 63)) for _ in range(min(step, count - start))]
+        for name, hits in crit.detections(StateSummary(generate(subs)), tol).items():
+            counts[name] += int(hits.sum())
     return counts
 
 
@@ -250,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--kind", choices=("separable", "pure"), default="separable")
     b.add_argument("--dims", default="3x3")
     b.add_argument("--count", type=int, default=1000)
-    b.add_argument("--terms", type=int, default=5)
+    b.add_argument("--terms", type=int,
+                   help=f"product terms per separable state (default {DEFAULT_TERMS})")
     b.add_argument("--seed", type=int, default=0)
     decision_options(b)
     b.set_defaults(fn=cmd_bench)

@@ -6,6 +6,8 @@ a PPT/realignment bound, a local-uncertainty bound depending on the
 observable basis, and its basis-free envelope obtained by absorbing the
 basis optimization into the trace norm of the cross-correlation block.
 Raw bound values may be negative; only the `best` aggregate clamps at 0.
+Each bound formula is written once, on arrays: given a summary of a stack
+of states it returns one value per state.
 """
 from __future__ import annotations
 
@@ -53,22 +55,22 @@ def pure_concurrence(psi: np.ndarray, dims) -> float:
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - pa))))
 
 
-def bound_ccnr_ppt(rho: StateLike) -> float:
+def bound_ccnr_ppt(rho: StateLike):
     """sqrt(2/(M(M-1))) * (max(||rho^T_A||, ||R(rho)||) - 1), M the
     smaller local dimension.  Both norms are invariant under swapping the
     parties, so no physical reordering is needed; the trace norm of the
     Hermitian rho^T_A is the sum of its absolute eigenvalues."""
     s = summarize(rho, "concurrence bounds")
     m, _ = _mn(s)
-    biggest = max(float(np.abs(s.pt_spectrum).sum()), s.realign_norm)
-    return float(np.sqrt(2.0 / (m * (m - 1))) * (biggest - 1.0))
+    biggest = np.maximum(np.abs(s.pt_spectrum).sum(axis=-1), s.realign_norm)
+    return np.sqrt(2.0 / (m * (m - 1))) * (biggest - 1.0)
 
 
 def bound_lur(
     rho: StateLike,
     basis_a: ObservableBasis | None = None,
     basis_b: ObservableBasis | None = None,
-) -> float:
+):
     """(M + N - 2 - sum_i Var(G_i^A x I + I x G_i^B)) / sqrt(2M(M-1)).
 
     Defaults to the Gell-Mann bases; the value depends on that choice.
@@ -80,10 +82,10 @@ def bound_lur(
     else:
         block = correlation_block(s, 0, 1, basis_a or gell_mann_basis(s.dims[0]),
                                   basis_b or gell_mann_basis(s.dims[1]))
-    return float((m + n - 2.0 - s.variance_sum(block)) / np.sqrt(2.0 * m * (m - 1)))
+    return (m + n - 2.0 - s.variance_sum(block)) / np.sqrt(2.0 * m * (m - 1))
 
 
-def bound_optimized(rho: StateLike) -> float:
+def bound_optimized(rho: StateLike):
     """(2 ||C||_KF - (1 - tr rho_A^2) - (1 - tr rho_B^2)) / sqrt(2M(M-1)).
 
     The trace norm of the cross block already is the basis optimum (the
@@ -93,7 +95,7 @@ def bound_optimized(rho: StateLike) -> float:
     s = summarize(rho, "concurrence bounds")
     m, _ = _mn(s)
     ea, eb = (1.0 - p for p in s.purities)
-    return float((2.0 * s.pair()[1].sum() - ea - eb) / np.sqrt(2.0 * m * (m - 1)))
+    return (2.0 * s.pair()[1].sum(axis=-1) - ea - eb) / np.sqrt(2.0 * m * (m - 1))
 
 
 def svd_rotated_bases(rho: StateLike) -> tuple[ObservableBasis, ObservableBasis]:
@@ -123,9 +125,9 @@ def all_bounds(rho: StateLike, pure_vector: np.ndarray | None = None) -> Concurr
     return ConcurrenceBounds(
         m=m,
         n=n,
-        bound_ccnr_ppt=bound_ccnr_ppt(s),
-        bound_lur=bound_lur(s),
-        bound_optimized=bound_optimized(s),
+        bound_ccnr_ppt=float(bound_ccnr_ppt(s)),
+        bound_lur=float(bound_lur(s)),
+        bound_optimized=float(bound_optimized(s)),
         exact_pure=exact,
         swapped=s.dims[0] > s.dims[1],
     )

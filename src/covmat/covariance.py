@@ -11,7 +11,8 @@ an orthonormal product basis C_ij is a change of coordinates of the
 realigned correlation part R(Delta_ij), so it is one matrix product away
 from the realigned state.  `StateSummary` derives R(Delta_ij) and the
 marginals once; the block in any basis and the variance sum are closed
-forms on them.
+forms on them.  A summary of a stack of states carries the stack's leading
+axes on every quantity, so one summary serves a whole chunk of states.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ class StateSummary:
     rho^(T_A).  Everything past the marginals is computed on first use and
     kept, so every criterion and bound evaluated on one summary shares a
     single pass over these matrices, and the pairwise multipartite test
-    computes only the blocks it reads.
+    computes only the blocks it reads.  For a stack of states every
+    quantity has the stack's leading axes.
     """
 
     def __init__(self, rho: DensityMatrix):
@@ -55,20 +57,21 @@ class StateSummary:
         return realign(self.state)
 
     @cached_property
-    def realign_norm(self) -> float:
+    def realign_norm(self):
         return trace_norm(self.realigned)
 
     @cached_property
     def pt_spectrum(self) -> np.ndarray:
         """Eigenvalues of rho^(T_A), ascending."""
         pt = partial_transpose(self.state, 0)
-        return np.linalg.eigvalsh((pt + pt.conj().T) / 2)
+        return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2)
 
     def delta(self, i: int = 0, j: int = 1) -> np.ndarray:
         """R(rho_ij - rho_i x rho_j) = R(rho_ij) - vec(rho_i) vec(rho_j)^T
         for parties i < j; R(rho_ij) is R(rho) for a bipartite state."""
         r = self.realigned if len(self.dims) == 2 else realign(partial_trace(self.state, (i, j)))
-        return r - np.outer(self.marginals[i].mat.reshape(-1), self.marginals[j].mat.reshape(-1))
+        vec_i, vec_j = (self.marginals[k].mat.reshape(r.shape[:-2] + (-1,)) for k in (i, j))
+        return r - vec_i[..., :, None] * vec_j[..., None, :]
 
     def pair(self, i: int = 0, j: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """The Gell-Mann cross block of parties i < j and its singular values."""
@@ -78,14 +81,15 @@ class StateSummary:
             self._pairs[(i, j)] = block, np.linalg.svd(block, compute_uv=False)
         return self._pairs[(i, j)]
 
-    def variance_sum(self, block: np.ndarray) -> float:
+    def variance_sum(self, block: np.ndarray):
         """sum_i Var(A_i x I + I x B_i) over paired observables of two
         orthonormal, complete bases whose cross block is `block`:
         sum_i Var(A_i) = d_A - tr rho_A^2 by completeness and Parseval,
         likewise for B, plus twice the paired cross correlations, the
         diagonal of the block.  A zero-padded observable pairs with
         nothing, so bases of unequal length need no special case."""
-        return float(sum(d - p for d, p in zip(self.dims, self.purities)) + 2.0 * np.trace(block))
+        return (sum(d - p for d, p in zip(self.dims, self.purities))
+                + 2.0 * np.trace(block, axis1=-2, axis2=-1))
 
 
 StateLike = DensityMatrix | StateSummary
@@ -116,7 +120,7 @@ def correlation_block(
         raise ValueError("basis dimensions do not match subsystem dimensions")
     s = summarize(rho)
     if i > j:
-        return _cross_block(s.delta(j, i), basis_j, basis_i).T
+        return _cross_block(s.delta(j, i), basis_j, basis_i).swapaxes(-2, -1)
     return _cross_block(s.delta(i, j), basis_i, basis_j)
 
 

@@ -5,11 +5,14 @@ separability: a violated inequality certifies entanglement, a satisfied
 one is inconclusive.  Bipartite criteria compare norms of the
 cross-correlation block C against linear-entropy factors 1 - tr(rho_i^2);
 PPT and CCNR are included as baselines.  Each criterion takes a state or
-its `StateSummary` and reads closed forms off the summary.
+its `StateSummary` and reads closed forms off the summary.  Each
+inequality's two sides are written once, on arrays (`kf_sides`, ...), so
+the same formulas decide one state or a whole stack (`detections`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -56,9 +59,15 @@ class MultipartiteReport:
     fully_entangled: bool
 
 
+def violates(margin, tol: float = DECISION_TOL):
+    """The ENTANGLED rule, elementwise on a stack: the margin lhs - rhs
+    exceeds the tolerance."""
+    return margin > tol
+
+
 def make_verdict(name, lhs, rhs, tol=DECISION_TOL, details=None) -> CriterionVerdict:
     margin = lhs - rhs
-    if margin > tol:
+    if violates(margin, tol):
         conclusion = ENTANGLED
     elif abs(margin) <= tol:
         conclusion = BOUNDARY
@@ -68,17 +77,32 @@ def make_verdict(name, lhs, rhs, tol=DECISION_TOL, details=None) -> CriterionVer
                             details or {})
 
 
-def _kf(s: StateSummary, i: int, j: int, tol: float, name: str,
-        details: dict | None = None) -> CriterionVerdict:
+# The (lhs, rhs) of each inequality, per state of the summary; lhs > rhs + tol
+# certifies entanglement.
+
+def kf_sides(s: StateSummary, i: int = 0, j: int = 1):
     """||C_ij||_KF <= ((1 - tr rho_i^2) + (1 - tr rho_j^2)) / 2."""
     ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
-    return make_verdict(name, s.pair(i, j)[1].sum(), (ei + ej) / 2, tol, details)
+    return s.pair(i, j)[1].sum(axis=-1), (ei + ej) / 2
 
 
-def _hs(s: StateSummary, i: int, j: int, tol: float, name: str) -> CriterionVerdict:
+def hs_sides(s: StateSummary, i: int = 0, j: int = 1):
     """||C_ij||_HS^2 <= (1 - tr rho_i^2)(1 - tr rho_j^2)."""
     ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
-    return make_verdict(name, (s.pair(i, j)[1] ** 2).sum(), ei * ej, tol)
+    return (s.pair(i, j)[1] ** 2).sum(axis=-1), ei * ej
+
+
+def ppt_sides(s: StateSummary):
+    """-lambda_min(rho^(T_A)) <= 0."""
+    return -s.pt_spectrum[..., 0], 0.0
+
+
+def ccnr_sides(s: StateSummary):
+    """||R(rho)||_KF <= 1."""
+    return s.realign_norm, 1.0
+
+
+BIPARTITE_SIDES = {"kf": kf_sides, "hs": hs_sides, "ppt": ppt_sides, "ccnr": ccnr_sides}
 
 
 def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
@@ -89,32 +113,47 @@ def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """
     s = summarize(rho, "trace-norm criterion")
     diag_abs_sum = float(np.abs(np.diagonal(s.pair()[0])).sum())
-    return _kf(s, 0, 1, tol, "kf", details={"diag_abs_sum": diag_abs_sum})
+    return make_verdict("kf", *kf_sides(s), tol, details={"diag_abs_sum": diag_abs_sum})
 
 
 def hs_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Frobenius criterion: ||C||_HS^2 <= (1-tr rho_A^2)(1-tr rho_B^2)."""
-    return _hs(summarize(rho, "Frobenius criterion"), 0, 1, tol, "hs")
+    return make_verdict("hs", *hs_sides(summarize(rho, "Frobenius criterion")), tol)
 
 
 def ppt_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Positive partial transpose baseline; lhs is minus the smallest
     eigenvalue of rho^(T_A)."""
-    lam = float(summarize(rho, "PPT criterion").pt_spectrum[0])
-    return make_verdict("ppt", -lam, 0.0, tol, details={"min_eigenvalue": lam})
+    s = summarize(rho, "PPT criterion")
+    return make_verdict("ppt", *ppt_sides(s), tol,
+                        details={"min_eigenvalue": float(s.pt_spectrum[0])})
 
 
 def ccnr_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     """Realignment baseline: trace norm of the reshuffled state vs 1."""
-    return make_verdict("ccnr", summarize(rho, "CCNR criterion").realign_norm, 1.0, tol)
+    return make_verdict("ccnr", *ccnr_sides(summarize(rho, "CCNR criterion")), tol)
+
+
+def detections(s: StateSummary, tol: float = DECISION_TOL) -> dict[str, np.ndarray]:
+    """Which states of a summary each criterion finds ENTANGLED, as boolean
+    arrays: kf, hs, ppt and ccnr for two parties; for more, "pairwise",
+    set when either norm inequality fails on some pair, which is when
+    `multipartite_full_sep` refutes full separability."""
+    if len(s.dims) == 2:
+        return {name: violates(np.subtract(*sides(s)), tol)
+                for name, sides in BIPARTITE_SIDES.items()}
+    return {"pairwise": np.logical_or.reduce([
+        violates(np.subtract(*sides(s, i, j)), tol)
+        for i, j in combinations(range(len(s.dims)), 2) for sides in (hs_sides, kf_sides)])}
 
 
 def _report(s: StateSummary, pairs, tol: float, partition: str | None = None
             ) -> MultipartiteReport:
     """Both norm inequalities on every listed pair.  A violation refutes full
     separability, and the partition when one is named."""
-    verdicts = {(i, j): {"hs": _hs(s, i, j, tol, f"hs_{i}{j}"),
-                         "kf": _kf(s, i, j, tol, f"kf_{i}{j}")} for (i, j) in pairs}
+    verdicts = {(i, j): {"hs": make_verdict(f"hs_{i}{j}", *hs_sides(s, i, j), tol),
+                         "kf": make_verdict(f"kf_{i}{j}", *kf_sides(s, i, j), tol)}
+                for (i, j) in pairs}
     hs_v, kf_v = (sum(v[k].conclusion == ENTANGLED for v in verdicts.values())
                   for k in ("hs", "kf"))
     refuted = hs_v + kf_v > 0
@@ -137,7 +176,7 @@ def multipartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> Multipar
     n = len(s.dims)
     if n < 2:
         raise ValueError(f"full separability test requires at least two parties, got {n}")
-    return _report(s, [(i, j) for i in range(n) for j in range(i + 1, n)], tol)
+    return _report(s, list(combinations(range(n), 2)), tol)
 
 
 def tripartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:

@@ -3,7 +3,9 @@ realignment, matrix norms and extremal eigenvalues.
 
 All operations are pure; density matrices are validated once, where they
 enter the program, and treated as immutable afterwards.  States derived
-from a validated one (reduced states) skip the check.
+from a validated one (reduced states) skip the check.  A `DensityMatrix`
+holds one state or a stack of states with leading batch axes; every
+operation here acts on the last two axes, so a stack is one call.
 """
 from __future__ import annotations
 
@@ -25,13 +27,27 @@ class InvalidSubsystemError(ValueError):
     """Raised for out-of-range or otherwise unusable subsystem indices."""
 
 
+def _require(ok: np.ndarray, message) -> None:
+    """Raise `message(k)` for the first member k where `ok` is False; for a
+    stack the message also names that member."""
+    if ok.all():
+        return
+    k = np.unravel_index(np.argmin(ok), ok.shape)
+    text = message(k)
+    if ok.ndim:
+        text += f" (stack member {int(k[0]) if ok.ndim == 1 else tuple(map(int, k))})"
+    raise InvalidStateError(text)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A multipartite quantum state with declared subsystem dimensions.
+    """A multipartite quantum state, or a stack of them, with declared
+    subsystem dimensions.
 
     dims: ordered subsystem dimensions, each >= 2.
-    mat:  D x D complex matrix, D = prod(dims); Hermitian, unit trace,
-          positive semidefinite (each within tolerance).
+    mat:  (*batch, D, D) complex array, D = prod(dims), batch empty for one
+          state; each member Hermitian, unit trace, positive semidefinite
+          (each within tolerance).
     """
 
     dims: tuple[int, ...]
@@ -45,21 +61,20 @@ class DensityMatrix:
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
         D = int(np.prod(dims))
-        if mat.shape != (D, D):
+        if mat.shape[-2:] != (D, D):
             raise InvalidStateError(
                 f"matrix shape {mat.shape} does not match dims {dims} (D={D})"
             )
-        if not np.isfinite(mat).all():
-            raise InvalidStateError("matrix has non-finite entries (NaN or infinity)")
-        herm_res = np.abs(mat - mat.conj().T).max()
-        if herm_res > HERM_TOL:
-            raise InvalidStateError(f"not Hermitian: residual {herm_res:.3e}")
-        tr_res = abs(mat.trace() - 1.0)
-        if tr_res > TRACE_TOL:
-            raise InvalidStateError(f"trace differs from 1 by {tr_res:.3e}")
-        min_eig = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min())
-        if min_eig < -PSD_TOL:
-            raise InvalidStateError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        _require(np.isfinite(mat).all(axis=(-2, -1)),
+                 lambda k: "matrix has non-finite entries (NaN or infinity)")
+        adj = mat.conj().swapaxes(-2, -1)
+        herm_res = np.abs(mat - adj).max(axis=(-2, -1))
+        _require(herm_res <= HERM_TOL, lambda k: f"not Hermitian: residual {herm_res[k]:.3e}")
+        tr_res = np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
+        _require(tr_res <= TRACE_TOL, lambda k: f"trace differs from 1 by {tr_res[k]:.3e}")
+        min_eig = np.linalg.eigvalsh((mat + adj) / 2)[..., 0]
+        _require(min_eig >= -PSD_TOL,
+                 lambda k: f"not positive semidefinite: min eigenvalue {min_eig[k]:.3e}")
 
     @classmethod
     def _derived(cls, dims: tuple[int, ...], mat: np.ndarray) -> "DensityMatrix":
@@ -77,8 +92,9 @@ class DensityMatrix:
     def n_parties(self) -> int:
         return len(self.dims)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.mat @ self.mat)))
+    def purity(self):
+        """tr rho^2, per member of a stack."""
+        return np.real(np.trace(self.mat @ self.mat, axis1=-2, axis2=-1))
 
 
 def _check_subsystems(rho: DensityMatrix, keep: Iterable[int]) -> tuple[int, ...]:
@@ -95,32 +111,35 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every subsystem not in `keep`, preserving their order."""
     keep = _check_subsystems(rho, keep)
     n = rho.n_parties
-    t = rho.mat.reshape(rho.dims + rho.dims)
+    batch = rho.mat.shape[:-2]
+    t = rho.mat.reshape(batch + rho.dims + rho.dims)
     # Row axis i gets label i; column axis gets the same label when traced out.
     row = list(range(n))
     col = [i if i not in keep else i + n for i in range(n)]
     out = list(keep) + [k + n for k in keep]
-    reduced = np.einsum(t, row + col, out)
+    reduced = np.einsum(t, [..., *row, *col], [..., *out])
     d_keep = tuple(rho.dims[k] for k in keep)
     D = int(np.prod(d_keep))
-    return DensityMatrix._derived(d_keep, reduced.reshape(D, D))
+    return DensityMatrix._derived(d_keep, reduced.reshape(batch + (D, D)))
+
+
+def _bipartite_tensor(rho: DensityMatrix, operation: str) -> np.ndarray:
+    """The (*batch, m, n, m, n) tensor of a bipartite M x N state."""
+    if rho.n_parties != 2:
+        raise InvalidSubsystemError(
+            f"{operation} needs a bipartite state, got {rho.n_parties} parties"
+        )
+    return rho.mat.reshape(rho.mat.shape[:-2] + rho.dims * 2)
 
 
 def partial_transpose(rho: DensityMatrix, subsystem: int = 0) -> np.ndarray:
     """Transpose the indices of one tensor factor of a bipartite state."""
-    if rho.n_parties != 2:
-        raise InvalidSubsystemError(
-            f"partial transpose needs a bipartite state, got {rho.n_parties} parties"
-        )
+    t = _bipartite_tensor(rho, "partial transpose")
     if subsystem not in (0, 1):
         raise InvalidSubsystemError(f"subsystem must be 0 or 1, got {subsystem}")
-    m, n = rho.dims
-    t = rho.mat.reshape(m, n, m, n)
-    if subsystem == 0:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(m * n, m * n)
+    # indices (i, j, k, l): swap i with k for the first party, j with l for the second
+    t = t.swapaxes(-4, -2) if subsystem == 0 else t.swapaxes(-3, -1)
+    return t.reshape(rho.mat.shape)
 
 
 def realign(rho: DensityMatrix) -> np.ndarray:
@@ -130,18 +149,14 @@ def realign(rho: DensityMatrix) -> np.ndarray:
     combines the first party's row and column indices.  For a product
     state this is the outer product vec(rho_A) vec(rho_B)^T.
     """
-    if rho.n_parties != 2:
-        raise InvalidSubsystemError(
-            f"realignment needs a bipartite state, got {rho.n_parties} parties"
-        )
+    t = _bipartite_tensor(rho, "realignment")      # indices (i, j, k, l)
     m, n = rho.dims
-    t = rho.mat.reshape(m, n, m, n)          # indices (i, j, k, l)
-    return t.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    return t.swapaxes(-3, -2).reshape(rho.mat.shape[:-2] + (m * m, n * n))
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Ky Fan (trace) norm: sum of singular values."""
-    return float(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum())
+def trace_norm(m: np.ndarray):
+    """Ky Fan (trace) norm: sum of singular values, per matrix of a stack."""
+    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
 
 
 def hs_norm(m: np.ndarray) -> float:

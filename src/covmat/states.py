@@ -1,6 +1,8 @@
 """State constructors: the 3x3 bound entangled tiles state, maximally
 entangled states, products, isotropic states, convex mixtures and seeded
 random ensembles, plus the text/file vocabulary the CLI accepts.
+`mix` and the random generators also build stacks of states: a mixture
+for each of several weights, an ensemble member for each of several seeds.
 """
 from __future__ import annotations
 
@@ -19,12 +21,29 @@ def ket(d: int, i: int) -> np.ndarray:
     return v
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of complex vectors along the last axis, in the same
+    arithmetic as `np.linalg.norm` of one vector."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _projector(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| for each vector along the last axis."""
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of vectors along the last axis."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (-1,))
+
+
 def dm_from_vector(psi: np.ndarray, dims) -> DensityMatrix:
+    """|psi><psi| of a unit vector, or of each vector of a (*batch, D) stack."""
     psi = np.asarray(psi, dtype=complex)
-    nrm = np.linalg.norm(psi)
-    if abs(nrm - 1.0) > 1e-10:
-        raise InvalidStateError(f"state vector norm differs from 1 by {abs(nrm - 1.0):.3e}")
-    return DensityMatrix(tuple(dims), np.outer(psi, psi.conj()))
+    err = np.abs(_norm(psi) - 1.0).max()
+    if err > 1e-10:
+        raise InvalidStateError(f"state vector norm differs from 1 by {err:.3e}")
+    return DensityMatrix(tuple(dims), _projector(psi))
 
 
 def bennett_state() -> DensityMatrix:
@@ -69,21 +88,36 @@ def isotropic(d: int, x: float) -> DensityMatrix:
     return DensityMatrix((d, d), x * mes.mat + (1 - x) * np.eye(d * d) / (d * d))
 
 
-def mix(a: DensityMatrix, b: DensityMatrix, x: float) -> DensityMatrix:
-    """(1 - x) * a + x * b."""
+def mix(a: DensityMatrix, b: DensityMatrix, x) -> DensityMatrix:
+    """(1 - x) * a + x * b; for an array of weights x, the stack of these
+    mixtures, one per weight."""
     if a.dims != b.dims:
         raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"mixing parameter must be in [0, 1], got {x}")
+    x = np.asarray(x, dtype=float)[..., None, None]
+    outside = ~((0.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"mixing parameter must be in [0, 1], got {x[outside][0]}")
     return DensityMatrix(a.dims, (1 - x) * a.mat + x * b.mat)
 
 
+def _seeds(seed) -> list:
+    """One seed, or each of a sequence of seeds."""
+    return [seed] if np.ndim(seed) == 0 else list(seed)
+
+
+def _member(seed, stack: np.ndarray) -> np.ndarray:
+    """The stack itself for a sequence of seeds, its only member for one seed."""
+    return stack if np.ndim(seed) else stack[0]
+
+
 def random_pure(dims, seed) -> DensityMatrix:
-    """Haar-random pure state via a normalized complex Gaussian vector."""
-    rng = np.random.default_rng(seed)
+    """Haar-random pure state via a normalized complex Gaussian vector.
+
+    Given a sequence of seeds, the stack of the states of each seed."""
     D = int(np.prod(dims))
-    psi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
-    return dm_from_vector(psi / np.linalg.norm(psi), tuple(dims))
+    draws = np.array([np.random.default_rng(s).standard_normal(2 * D) for s in _seeds(seed)])
+    psi = draws[:, :D] + 1j * draws[:, D:]
+    return dm_from_vector(_member(seed, psi / _norm(psi)[:, None]), tuple(dims))
 
 
 def random_mixed(dims, seed, rank: int | None = None) -> DensityMatrix:
@@ -100,23 +134,27 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
     """Convex mixture of `terms` random pure product states.
 
     Local factors are Haar-random pure states, weights Dirichlet-uniform;
-    fully reproducible from the seed.
+    fully reproducible from the seed.  Given a sequence of seeds, the
+    stack of the states of each seed.
     """
     if terms < 1:
         raise ValueError(f"need at least one term, got {terms}")
-    rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
     D = int(np.prod(dims))
-    weights = rng.dirichlet(np.ones(terms))
-    acc = np.zeros((D, D), dtype=complex)
-    for w in weights:
-        factors = []
-        for d in dims:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            factors.append(v / np.linalg.norm(v))
-        psi = reduce(np.kron, factors)
-        acc += w * np.outer(psi, psi.conj())
-    return DensityMatrix(dims, acc)
+    weights, normals = [], []
+    for s in _seeds(seed):
+        # the weights, then per term and party the real and imaginary parts
+        rng = np.random.default_rng(s)
+        weights.append(rng.dirichlet(np.ones(terms)))
+        normals.append(rng.standard_normal(2 * terms * sum(dims)))
+    weights, normals = np.array(weights), np.array(normals).reshape(-1, terms, 2 * sum(dims))
+    parts = np.split(normals, np.cumsum([2 * d for d in dims])[:-1], axis=-1)
+    factors = (p[..., :d] + 1j * p[..., d:] for p, d in zip(parts, dims))
+    psi = reduce(_kron, (v / _norm(v)[..., None] for v in factors))
+    acc = np.zeros((len(weights), D, D), dtype=complex)
+    for t in range(terms):
+        acc += weights[:, t, None, None] * _projector(psi[:, t])
+    return DensityMatrix(dims, _member(seed, acc))
 
 
 FILE_FORM = '{"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]}'

@@ -1,17 +1,22 @@
 """Shared test helpers: random orthogonal/unitary generators, the full
 covariance matrix and its block decomposition (reference objects the
-library's criteria do not need), and parsing `analyze` JSON back into a
-report."""
+library's criteria do not need), parsing `analyze` JSON back into a
+report, and the one-state-at-a-time generators, `bench` loop and `sweep`
+loop that the chunked library code must reproduce bit for bit."""
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
+from covmat import concurrence as conc
+from covmat import criteria as crit
 from covmat.cli import AnalysisReport
 from covmat.concurrence import ConcurrenceBounds
-from covmat.covariance import correlation_block
+from covmat.covariance import StateSummary, correlation_block
 from covmat.criteria import CriterionVerdict, MultipartiteReport
 from covmat.linalg import DensityMatrix, partial_trace
 from covmat.observables import ObservableBasis, pad_basis
+from covmat.states import mix
 
 IMAG_TOL = 1e-10
 
@@ -131,3 +136,64 @@ def report_from_dict(d: dict) -> AnalysisReport:
         bounds=bounds,
         timing_ms=d["timing_ms"],
     )
+
+
+def random_pure_reference(dims, seed) -> DensityMatrix:
+    """One Haar-random pure state per seed, drawn as before stacks existed."""
+    rng = np.random.default_rng(seed)
+    D = int(np.prod(dims))
+    psi = rng.standard_normal(D) + 1j * rng.standard_normal(D)
+    psi = psi / np.linalg.norm(psi)
+    return DensityMatrix(tuple(dims), np.outer(psi, psi.conj()))
+
+
+def random_separable_reference(dims, terms, seed) -> DensityMatrix:
+    """One random separable state per seed, one term and party at a time."""
+    rng = np.random.default_rng(seed)
+    D = int(np.prod(dims))
+    acc = np.zeros((D, D), dtype=complex)
+    for w in rng.dirichlet(np.ones(terms)):
+        factors = []
+        for d in dims:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            factors.append(v / np.linalg.norm(v))
+        psi = reduce(np.kron, factors)
+        acc += w * np.outer(psi, psi.conj())
+    return DensityMatrix(tuple(dims), acc)
+
+
+def bench_counts_reference(kind, dims, count, terms, seed, tol):
+    """`bench_counts` one state at a time, each state's verdicts from the
+    single-state criteria."""
+    counts = {"kf": 0, "hs": 0, "ppt": 0, "ccnr": 0, "states": count}
+    if len(dims) > 2:
+        counts["pairwise"] = 0
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sub = int(rng.integers(0, 2 ** 63))
+        if kind == "separable":
+            rho = random_separable_reference(dims, terms, sub)
+        else:
+            rho = random_pure_reference(dims, sub)
+        summary = StateSummary(rho)
+        if len(dims) == 2:
+            for fn in (crit.kf_criterion, crit.hs_criterion, crit.ppt_criterion,
+                       crit.ccnr_criterion):
+                v = fn(summary, tol)
+                counts[v.name] += v.conclusion == crit.ENTANGLED
+        else:
+            counts["pairwise"] += crit.multipartite_full_sep(summary, tol).full_sep_refuted
+    return counts
+
+
+def sweep_rows_reference(base, target, grid):
+    """`sweep_rows` one point at a time."""
+    rows = []
+    for x in grid:
+        s = StateSummary(mix(base, target, float(x)))
+        kf, hs, ppt, ccnr = (fn(s) for fn in (crit.kf_criterion, crit.hs_criterion,
+                                               crit.ppt_criterion, crit.ccnr_criterion))
+        rows.append((float(x), conc.bound_ccnr_ppt(s), conc.bound_lur(s),
+                     conc.bound_optimized(s), kf.margin, hs.margin,
+                     ppt.details["min_eigenvalue"], ccnr.lhs))
+    return rows

@@ -15,13 +15,15 @@ from covmat.cli import (
     SWEEP_COLUMNS,
     analyze_state,
     bench_counts,
+    chunk_size,
     fmt,
     main,
+    sweep_rows,
 )
 from covmat.covariance import StateSummary
 from covmat.linalg import DensityMatrix
 from covmat.states import bennett_state, build_state, max_entangled, random_mixed, save_state
-from helpers import report_from_dict
+from helpers import bench_counts_reference, report_from_dict, sweep_rows_reference
 
 
 def run_cli(capsys, argv):
@@ -158,6 +160,29 @@ class TestBench:
         _, out1, _ = run_cli(capsys, argv + ["--seed", "1"])
         assert out_default == out0
         assert json.loads(out0) != json.loads(out1)
+
+    # A negative tolerance makes separable counts depend on the states drawn.
+    @pytest.mark.parametrize("kind, dims, tol", [
+        ("separable", (3, 3), 1e-9), ("separable", (3, 3), -0.02),
+        ("separable", (2, 2, 2), 1e-9), ("separable", (2, 2, 2), -0.02),
+        ("pure", (2, 2), 0.2),
+    ])
+    def test_chunk_boundaries_change_nothing(self, kind, dims, tol):
+        chunk = chunk_size(int(np.prod(dims)))
+        assert chunk > 1
+        terms = 5 if kind == "separable" else None
+        for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            got = bench_counts(kind, dims, count, terms, 4, tol)
+            assert got == bench_counts_reference(kind, dims, count, terms, 4, tol), count
+        if tol != 1e-9:
+            assert any(0 < c < count for k, c in got.items() if k != "states")
+
+    def test_terms_default_and_pure_rejection(self, capsys):
+        argv = ["bench", "--count", "12", "--seed", "3", "--format", "json"]
+        assert run_cli(capsys, argv)[1] == run_cli(capsys, argv + ["--terms", "5"])[1]
+        code, out, err = run_cli(capsys, argv + ["--kind", "pure", "--terms", "3"])
+        assert_one_line_error(code, err)
+        assert out == "" and "--terms" in err
 
     def test_tripartite_path(self, capsys):
         _, out, _ = run_cli(
@@ -303,3 +328,14 @@ def test_analyze_builds_each_matrix_once(monkeypatch):
     rep = analyze_state(rho, "random", 1e-9)
     assert len(rep.verdicts) == 4 and rep.bounds is not None
     assert validations == [] and len(realigns) == 1
+
+
+@pytest.mark.parametrize("base, target, grid", [
+    ("bennett3x3", "mes:3", np.linspace(0, 1, 101)),
+    ("isotropic:2:0.1", "mes:2", np.linspace(0, 1, 600)),
+])
+def test_sweep_chunks_match_the_point_by_point_rows(base, target, grid):
+    a, b = build_state(base), build_state(target)
+    assert len(grid) > 2 * chunk_size(a.total_dim)
+    rows = list(sweep_rows(a, b, grid))
+    assert rows == sweep_rows_reference(a, b, grid)

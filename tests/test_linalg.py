@@ -44,6 +44,29 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError, match="non-finite"):
             DensityMatrix((2, 2), m)
 
+    @pytest.mark.parametrize("fault, check", [
+        ("hermitian", "not Hermitian"), ("trace", "trace differs"),
+        ("psd", "not positive semidefinite"), ("nan", "non-finite"),
+    ])
+    def test_stack_names_its_first_bad_member(self, fault, check):
+        stack = np.stack([random_mixed((2, 2), s).mat for s in range(5)])
+        for k in (2, 4):
+            bad = stack[k]
+            if fault == "hermitian":
+                bad[0, 1] += 1e-3
+            elif fault == "trace":
+                bad *= 1.01
+            elif fault == "psd":
+                bad[...] = np.diag([1.2, 0.0, 0.0, -0.2])
+            else:
+                bad[1, 2] = bad[2, 1] = np.nan
+        with pytest.raises(InvalidStateError) as exc:
+            DensityMatrix((2, 2), stack)
+        assert check in str(exc.value) and str(exc.value).endswith("(stack member 2)")
+        with pytest.raises(InvalidStateError) as one:
+            DensityMatrix((2, 2), stack[2])
+        assert str(exc.value) == f"{one.value} (stack member 2)"
+
     def test_reduced_states_are_not_revalidated(self, monkeypatch):
         rho = random_mixed((2, 3, 2), 1)
         calls = []

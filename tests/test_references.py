@@ -20,6 +20,7 @@ from covmat.concurrence import all_bounds, bound_ccnr_ppt, bound_lur, bound_opti
 from covmat.covariance import StateSummary, correlation_block, joint_variance_sum
 from covmat.criteria import multipartite_full_sep
 from covmat.observables import gell_mann_basis, pad_basis, rotate_basis
+from covmat.linalg import DensityMatrix
 from covmat.states import isotropic, random_mixed
 
 import oracles
@@ -82,6 +83,29 @@ def test_block_and_variance_sum_match_former_implementations(dims):
                                           gell_mann_basis(dims[1]).elements)
         assert abs(bound_lur(rho) - (m + n - 2 - jvs) / np.sqrt(2 * m * (m - 1))) <= REF_TOL
         assert bound_lur(summary) == bound_lur(rho)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 4), (3, 5), (2, 2, 2), (2, 3, 2)])
+def test_a_stack_summarises_like_its_members(dims):
+    # the summary of a stack, and every bound on it, equal those of each
+    # member bit for bit
+    members = [random_mixed(dims, seed, rank=rank) for seed, rank in
+               enumerate((None, 1, 2, None, 3))]
+    stack = StateSummary(DensityMatrix(dims, np.stack([r.mat for r in members])))
+    pairs = [(i, j) for i in range(len(dims)) for j in range(i + 1, len(dims))]
+    for k, rho in enumerate(members):
+        one = StateSummary(rho)
+        for a, b in zip(stack.purities, one.purities):
+            assert np.array_equal(a[k], b)
+        for i, j in pairs:
+            assert np.array_equal(stack.delta(i, j)[k], one.delta(i, j))
+            for a, b in zip(stack.pair(i, j), one.pair(i, j)):
+                assert np.array_equal(a[k], b)
+        if len(dims) == 2:
+            assert np.array_equal(stack.pt_spectrum[k], one.pt_spectrum)
+            assert np.array_equal(stack.realign_norm[k], one.realign_norm)
+            for bound in (bound_ccnr_ppt, bound_lur, bound_optimized):
+                assert np.array_equal(bound(stack)[k], bound(one))
 
 
 def test_given_bases_read_the_summary(monkeypatch):

@@ -21,6 +21,8 @@ from covmat.states import (
     save_state,
 )
 
+from helpers import random_pure_reference, random_separable_reference
+
 
 class TestBennettState:
     def test_trace_and_rank(self):
@@ -76,6 +78,15 @@ class TestMix:
     def test_bad_weight(self):
         with pytest.raises(ValueError):
             mix(bennett_state(), max_entangled(3), 1.5)
+        with pytest.raises(ValueError, match="got 1.5"):
+            mix(bennett_state(), max_entangled(3), np.array([0.0, 0.5, 1.5, 2.0]))
+
+    def test_weight_array_stacks_the_mixtures(self):
+        a, b = bennett_state(), max_entangled(3)
+        xs = np.linspace(0, 1, 7)
+        stack = mix(a, b, xs)
+        for x, member in zip(xs, stack.mat):
+            assert np.array_equal(member, mix(a, b, float(x)).mat)
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
@@ -106,6 +117,26 @@ class TestRandomStates:
         rho = random_separable((2, 2, 2), 3, seed)
         assert abs(rho.mat.trace() - 1) <= 1e-10
         assert np.linalg.eigvalsh(rho.mat).min() >= -1e-10
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("separable", (3, 3)), ("separable", (2, 2, 2)), ("separable", (2, 3, 2)),
+        ("separable", (2, 4)), ("pure", (2, 4)), ("pure", (2, 3, 2)), ("pure", (3, 3)),
+    ])
+    def test_seed_sequence_stacks_the_per_seed_states(self, kind, dims):
+        # each member draws from its own seed exactly as one state always did
+        seeds = [11, 2 ** 62 + 5, 0, 987654321]
+        if kind == "separable":
+            stack = random_separable(dims, 4, seeds)
+            refs = [random_separable_reference(dims, 4, s) for s in seeds]
+            singles = [random_separable(dims, 4, s) for s in seeds]
+        else:
+            stack = random_pure(dims, seeds)
+            refs = [random_pure_reference(dims, s) for s in seeds]
+            singles = [random_pure(dims, s) for s in seeds]
+        assert stack.mat.shape == (len(seeds),) + refs[0].mat.shape
+        for member, ref, single in zip(stack.mat, refs, singles):
+            assert np.array_equal(member, ref.mat)
+            assert np.array_equal(single.mat, ref.mat)
 
     def test_terms_below_one_rejected(self):
         with pytest.raises(ValueError):
