@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -71,22 +71,25 @@ def _bipartite_verdicts(summary: StateSummary, tol: float) -> list[CriterionVerd
                                         crit.ppt_criterion, crit.ccnr_criterion)]
 
 
-def analyze_state(rho: DensityMatrix, description: str, tol: float) -> AnalysisReport:
-    timing: dict[str, float] = {}
+def _timed(timing: dict[str, float], stage: str, fn, *args):
+    """fn(*args), with its wall time in ms recorded as timing[stage]."""
+    t0 = time.perf_counter()
+    result = fn(*args)
+    timing[stage] = (time.perf_counter() - t0) * 1000
+    return result
 
-    def timed(stage, fn, *args):
-        t0 = time.perf_counter()
-        result = fn(*args)
-        timing[stage] = (time.perf_counter() - t0) * 1000
-        return result
 
-    summary = timed("purities", StateSummary, rho)
+def analyze_state(rho: DensityMatrix, description: str, tol: float,
+                  timing: dict[str, float] | None = None) -> AnalysisReport:
+    """The report on `rho`; its stage times are added to `timing`."""
+    timing = {} if timing is None else timing
+    summary = _timed(timing, "purities", StateSummary, rho)
     verdicts, multi, bounds = [], None, None
     if rho.n_parties == 2:
-        verdicts = timed("criteria", _bipartite_verdicts, summary, tol)
-        bounds = timed("bounds", conc.all_bounds, summary)
+        verdicts = _timed(timing, "criteria", _bipartite_verdicts, summary, tol)
+        bounds = _timed(timing, "bounds", conc.all_bounds, summary)
     else:
-        multi = timed("criteria", crit.multipartite_full_sep, summary, tol)
+        multi = _timed(timing, "criteria", crit.multipartite_full_sep, summary, tol)
     return AnalysisReport(state_description=description, dims=list(rho.dims),
                           purities=summary.purities, verdicts=verdicts, multipartite=multi,
                           bounds=bounds, timing_ms=timing)
@@ -121,11 +124,12 @@ def _print_text_report(rep: AnalysisReport, out) -> None:
 
 
 def cmd_analyze(args) -> int:
+    timing: dict[str, float] = {}  # "load" includes validating the state
     if args.file is not None:
-        rho, description = load_state(args.file), f"file:{args.file}"
+        rho, description = _timed(timing, "load", load_state, args.file), f"file:{args.file}"
     else:
-        rho, description = build_state(args.state), args.state
-    rep = analyze_state(rho, description, args.tolerance)
+        rho, description = _timed(timing, "load", build_state, args.state), args.state
+    rep = analyze_state(rho, description, args.tolerance, timing)
     if args.format == "json":
         print(json.dumps(rep.to_dict()))
     else:
@@ -209,7 +213,7 @@ def bench_counts(kind: str, dims, count: int, terms: int | None, seed: int,
     rng = np.random.default_rng(seed)
     step = chunk_size(int(np.prod(dims)))
     for start in range(0, count, step):
-        subs = [int(rng.integers(0, 2 ** 63)) for _ in range(min(step, count - start))]
+        subs = rng.integers(0, 2 ** 63, min(step, count - start)).tolist()
         for name, hits in crit.detections(StateSummary(generate(subs)), tol).items():
             counts[name] += int(hits.sum())
     return counts
@@ -241,7 +245,9 @@ def non_negative_float(text: str) -> float:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     p = _Parser(prog="covmat",
                 description="Covariance-matrix entanglement criteria "
                             "and concurrence lower bounds")

@@ -7,6 +7,8 @@ for each of several weights, an ensemble member for each of several seeds.
 from __future__ import annotations
 
 import json
+import math
+import re
 from functools import reduce
 from pathlib import Path
 
@@ -141,13 +143,19 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
         raise ValueError(f"need at least one term, got {terms}")
     dims = tuple(int(d) for d in dims)
     D = int(np.prod(dims))
-    weights, normals = [], []
+    draws, normals = [], []
     for s in _seeds(seed):
         # the weights, then per term and party the real and imaginary parts
         rng = np.random.default_rng(s)
-        weights.append(rng.dirichlet(np.ones(terms)))
+        draws.append(rng.standard_exponential(terms))
         normals.append(rng.standard_normal(2 * terms * sum(dims)))
-    weights, normals = np.array(weights), np.array(normals).reshape(-1, terms, 2 * sum(dims))
+    draws, normals = np.array(draws), np.array(normals).reshape(-1, terms, 2 * sum(dims))
+    # Dirichlet(1, ..., 1) weights as `Generator.dirichlet` makes them: the
+    # exponential draws summed one at a time, times the reciprocal sum
+    total = np.zeros(len(draws))
+    for t in range(terms):
+        total += draws[:, t]
+    weights = draws * (1 / total)[:, None]
     parts = np.split(normals, np.cumsum([2 * d for d in dims])[:-1], axis=-1)
     factors = (p[..., :d] + 1j * p[..., d:] for p, d in zip(parts, dims))
     psi = reduce(_kron, (v / _norm(v)[..., None] for v in factors))
@@ -159,22 +167,69 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
 
 FILE_FORM = '{"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]}'
 
+# The "matrix" key, not inside a string (no backslash before it), and the
+# characters its array may hold besides brackets and commas: JSON
+# whitespace and those of numbers, NaN and Infinity.
+_MATRIX_KEY = re.compile(rb'(?<!\\)"matrix"\s*:\s*(?=\[)')
+_NUMBER_CHARS = b"0123456789.eE+-NaInfity \t\n\r"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# numpy reads an entry of whitespace alone as -1
+_EMPTY_ENTRY = re.compile(rb"(?:^|,)[ \t\n\r]*(?:,|$)")
+
+
+def _skeleton(D: int) -> bytes:
+    """The brackets and commas of a (D, D, 2) JSON array."""
+    row = b"[" + b",".join([b"[,]"] * D) + b"]"
+    return b"[" + b",".join([row] * D) + b"]"
+
 
 def load_state(path) -> DensityMatrix:
     """Load a state from a JSON file of the form FILE_FORM: the D x D
-    matrix, D = d1 * d2 * ..., with each entry an [re, im] pair."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-            dims = tuple(int(d) for d in data["dims"])
-            parts = np.asarray(data["matrix"], dtype=float)
-            D = int(np.prod(dims))
-            if parts.shape != (D, D, 2):
-                raise ValueError(f"matrix has shape {parts.shape}, dims need ({D}, {D}, 2)")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidStateError(
-                f"bad state file {path} ({exc!r}), expected {FILE_FORM}") from None
-    return DensityMatrix(dims, parts.view(complex)[..., 0])
+    matrix, D = d1 * d2 * ..., with each entry an [re, im] pair.
+
+    The one "matrix" key holds numbers only, read as decimals by numpy:
+    besides JSON numbers and the NaN/Infinity that `json.dumps` writes,
+    spellings such as `.5`, `+1` and `01` read as their values.  No
+    Python object is made per number, so reading peaks at about twice
+    the file size in memory."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        key = _MATRIX_KEY.search(raw)
+        if key is None:
+            raise ValueError('no "matrix" array')
+        # The array ends at its last "]" before the next key or the "}" that
+        # closes the object; any other character in it stays in the skeleton.
+        start = key.end()
+        stop = min((i for i in (raw.find(b'"', start), raw.find(b"}", start)) if i >= 0),
+                   default=len(raw))
+        end = raw.rfind(b"]", start, stop) + 1
+        keys = []
+        data = json.loads(raw[:start] + b"null" + raw[end:],
+                          object_pairs_hook=lambda pairs: keys.extend(k for k, _ in pairs)
+                          or dict(pairs))
+        if not isinstance(data, dict) or keys.count("matrix") != 1 or "matrix" not in data:
+            raise ValueError('"matrix" must be the only key of that name, at the top level')
+        dims = tuple(int(d) for d in data["dims"])
+        D = math.prod(dims)
+        matrix = raw[start:end]
+        del raw, key  # the match holds the whole file too
+        skeleton = matrix.translate(None, _NUMBER_CHARS)
+        if len(skeleton) != 4 * D * D + 2 * D + 1 or skeleton != _skeleton(D):
+            raise ValueError(f"matrix is not a ({D}, {D}, 2) array")
+        del skeleton
+        text = matrix.translate(_BRACKETS_TO_SPACES)
+        del matrix
+        parts = np.fromstring(text, sep=",")
+        if parts.size != 2 * D * D:
+            raise ValueError(f"matrix holds {parts.size} numbers, dims need {2 * D * D}")
+        if (parts == -1).any() and _EMPTY_ENTRY.search(text):
+            raise ValueError("matrix has an empty entry")
+        del text
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidStateError(
+            f"bad state file {path} ({exc!r}), expected {FILE_FORM}") from None
+    return DensityMatrix(dims, parts.view(complex).reshape(D, D))
 
 
 def save_state(rho: DensityMatrix, path) -> None:

@@ -221,6 +221,49 @@ def test_purities_stage_times_the_summary(monkeypatch):
     assert rep.timing_ms["purities"] >= 10
 
 
+def test_load_stage_times_loading_and_validation(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "mes2.json"
+    save_state(max_entangled(2), str(path))
+    real_load, real_build = cli.load_state, cli.build_state
+
+    def slow(load):
+        return lambda source: time.sleep(0.01) or load(source)
+
+    monkeypatch.setattr(cli, "load_state", slow(real_load))
+    monkeypatch.setattr(cli, "build_state", slow(real_build))
+    for source in (["--file", str(path)], ["--state", "mes:2"]):
+        _, out, _ = run_cli(capsys, ["analyze", *source, "--format", "json"])
+        timing = json.loads(out)["timing_ms"]
+        assert {"load", "purities", "criteria", "bounds"} <= set(timing)
+        assert timing["load"] >= 10
+
+
+def test_repeated_calls_match_a_fresh_parser(capsys):
+    # the parser is built once per process; each call must still behave
+    # exactly as on a newly built parser
+    calls = [["analyze", "--state", "mes:2"], ["bench", "--count", "abc"],
+             ["analyze", "--help"], ["sweep", "--grid", "0:1:3"],
+             ["analyze", "--state", "mes:2", "--file", "x.json"], ["analyze", "--state", "mes:2"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [
+        EXIT_ENTANGLED, EXIT_ERROR, ("exit", 0), EXIT_OK, EXIT_ERROR, EXIT_ENTANGLED]
+
+
 def test_bench_counts_rejects_unknown_kind():
     with pytest.raises(ValueError):
         bench_counts("thermal", (2, 2), 1, 3, 0)
@@ -307,6 +350,38 @@ class TestBadInput:
     def test_malformed_file(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(content))
+        code, _, err = run_cli(capsys, ["analyze", "--file", str(path)])
+        assert_one_line_error(code, err)
+        assert '"matrix": [[[re, im], ...], ...]' in err
+
+    @pytest.mark.parametrize("content", [
+        # 72 numbers, as for dims 2x3, but as triples
+        json.dumps({"dims": [2, 3], "matrix": [[[0, 0, 0]] * 4] * 6}).encode(),
+        # one number too many, one too few
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0, 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, ]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5 0.25, 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [ , 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], ["0.5", 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [true, 0]]]}',
+        # a second "matrix" key, a nested one only, a key that merely ends in it
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], '
+        b'"matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]}',
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "x": {"matrix": 1}}',
+        b'{"dims": [2], "x": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}}',
+        b'{"dims": [2], "\\"matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        b'',
+        b'{"dims": [2], "note": "\xff", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]',
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}}',
+        b'{"dims": [4294967296, 4294967296], "matrix": [[[1, 0]]]}',
+    ], ids=["triples", "extra", "missing", "trailing-comma", "two-in-one", "empty-entry",
+            "string", "true", "second-key", "nested-key", "only-nested", "in-string",
+            "empty-file", "not-utf8", "unclosed", "extra-brace", "huge-dims"])
+    def test_malformed_file_bytes(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
         code, _, err = run_cli(capsys, ["analyze", "--file", str(path)])
         assert_one_line_error(code, err)
         assert '"matrix": [[[re, im], ...], ...]' in err

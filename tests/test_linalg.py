@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmat.linalg import (
+    PSD_TOL,
     DensityMatrix,
     InvalidStateError,
     InvalidSubsystemError,
@@ -66,6 +67,44 @@ class TestDensityMatrixInvariants:
         with pytest.raises(InvalidStateError) as one:
             DensityMatrix((2, 2), stack[2])
         assert str(exc.value) == f"{one.value} (stack member 2)"
+
+    @staticmethod
+    def with_min_eigenvalue(low, seed=0):
+        """A 4x4 unit-trace Hermitian matrix with min eigenvalue `low`, in a
+        random basis."""
+        u = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4))
+                         + 1j * np.random.default_rng(seed + 1).standard_normal((4, 4)))[0]
+        evs = np.array([low, 0.2, 0.3, 0.5 - low])
+        return (u * evs) @ u.conj().T
+
+    def test_min_eigenvalue_just_inside_the_tolerance_is_accepted(self):
+        DensityMatrix((2, 2), self.with_min_eigenvalue(-0.5 * PSD_TOL))
+
+    def test_min_eigenvalue_beyond_the_tolerance_is_named(self):
+        with pytest.raises(InvalidStateError,
+                           match=r"not positive semidefinite: min eigenvalue -2\.000e-10$"):
+            DensityMatrix((2, 2), self.with_min_eigenvalue(-2 * PSD_TOL))
+
+    def test_stack_names_the_member_beyond_the_tolerance(self):
+        stack = np.stack([self.with_min_eigenvalue(-0.5 * PSD_TOL, s) for s in range(6)])
+        stack[3] = self.with_min_eigenvalue(-2 * PSD_TOL, 3)
+        with pytest.raises(InvalidStateError) as exc:
+            DensityMatrix((2, 2), stack)
+        assert str(exc.value) == ("not positive semidefinite: min eigenvalue -2.000e-10 "
+                                  "(stack member 3)")
+
+    def test_rank_one_state_of_dimension_256_is_accepted(self):
+        v = np.random.default_rng(4).standard_normal(256) + 0j
+        DensityMatrix((2,) * 8, np.outer(v, v) / (v @ v))
+
+    def test_valid_states_need_no_eigenvalues(self, monkeypatch):
+        # the Cholesky factor decides; eigvalsh runs only to name a failure
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        DensityMatrix((3, 3), bennett_state().mat)
+        DensityMatrix((2, 2), np.stack([random_mixed((2, 2), s).mat for s in range(5)]))
 
     def test_reduced_states_are_not_revalidated(self, monkeypatch):
         rho = random_mixed((2, 3, 2), 1)

@@ -1,10 +1,14 @@
 import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from covmat.linalg import min_eigenvalue, partial_transpose
+from covmat.linalg import DensityMatrix, InvalidStateError, min_eigenvalue, partial_transpose
 from covmat.states import (
     bennett_state,
     build_state,
@@ -123,20 +127,22 @@ class TestRandomStates:
         ("separable", (2, 4)), ("pure", (2, 4)), ("pure", (2, 3, 2)), ("pure", (3, 3)),
     ])
     def test_seed_sequence_stacks_the_per_seed_states(self, kind, dims):
-        # each member draws from its own seed exactly as one state always did
+        # each member draws from its own seed exactly as one state always did,
+        # the separable weights as `Generator.dirichlet` for every term count
         seeds = [11, 2 ** 62 + 5, 0, 987654321]
-        if kind == "separable":
-            stack = random_separable(dims, 4, seeds)
-            refs = [random_separable_reference(dims, 4, s) for s in seeds]
-            singles = [random_separable(dims, 4, s) for s in seeds]
-        else:
-            stack = random_pure(dims, seeds)
-            refs = [random_pure_reference(dims, s) for s in seeds]
-            singles = [random_pure(dims, s) for s in seeds]
-        assert stack.mat.shape == (len(seeds),) + refs[0].mat.shape
-        for member, ref, single in zip(stack.mat, refs, singles):
-            assert np.array_equal(member, ref.mat)
-            assert np.array_equal(single.mat, ref.mat)
+        for terms in range(1, 9) if kind == "separable" else [None]:
+            if kind == "separable":
+                stack = random_separable(dims, terms, seeds)
+                refs = [random_separable_reference(dims, terms, s) for s in seeds]
+                singles = [random_separable(dims, terms, s) for s in seeds]
+            else:
+                stack = random_pure(dims, seeds)
+                refs = [random_pure_reference(dims, s) for s in seeds]
+                singles = [random_pure(dims, s) for s in seeds]
+            assert stack.mat.shape == (len(seeds),) + refs[0].mat.shape
+            for member, ref, single in zip(stack.mat, refs, singles):
+                assert np.array_equal(member, ref.mat), terms
+                assert np.array_equal(single.mat, ref.mat), terms
 
     def test_terms_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +165,72 @@ class TestFileRoundTrip:
         entries = [[[z.real, z.imag] for z in row] for row in rho.mat]
         assert path.read_text() == json.dumps({"dims": [2, 3], "matrix": entries})
         np.testing.assert_array_equal(load_state(path).mat, rho.mat)
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64).ravel()
+
+
+class TestLoadState:
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    @example([-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+              -1.7976931348623157e308, 2.225073858507201e-308, 0.1, -1.0])
+    def test_any_finite_double_reads_back_bit_exact(self, values):
+        # the reader is exact on every double, valid state or not, so the
+        # validation that would refuse most of these is left out here
+        mat = np.array(values).view(complex).reshape(2, 2)
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(DensityMatrix, "__post_init__", lambda self: None):
+            path = Path(tmp) / "state.json"
+            save_state(DensityMatrix._derived((2,), mat), path)
+            loaded = load_state(path).mat
+            with open(path) as fh:
+                reference = np.asarray(json.load(fh)["matrix"], dtype=float)
+        assert np.array_equal(bits(loaded), bits(mat))
+        assert np.array_equal(bits(loaded), bits(reference))
+
+    def test_layout_and_key_order_do_not_matter(self, tmp_path):
+        rho = random_mixed((2, 3), 5)
+        pairs = np.stack([rho.mat.real, rho.mat.imag], -1).tolist()
+        save_state(rho, tmp_path / "plain.json")
+        (tmp_path / "first.json").write_text(
+            json.dumps({"matrix": pairs, "note": [1, "x"], "dims": [2, 3]}))
+        (tmp_path / "pretty.json").write_text(
+            json.dumps({"dims": [2, 3], "matrix": pairs}, indent=2))
+        for name in ("plain", "first", "pretty"):
+            loaded = load_state(tmp_path / f"{name}.json")
+            assert loaded.dims == (2, 3)
+            assert np.array_equal(bits(loaded.mat), bits(rho.mat)), name
+
+    @pytest.mark.parametrize("spelling, value", [
+        (".5", 0.5), ("+1", 1.0), ("01", 1.0), ("1.", 1.0), ("2.5E-1", 0.25),
+    ])
+    def test_number_spellings_beyond_json(self, tmp_path, spelling, value):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2], "matrix": [[[%s, 0], [0, 0]], [[0, 0], [%r, 0]]]}'
+                        % (spelling, 1 - value))
+        assert load_state(path).mat[0, 0] == value
+
+    @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "nan", "inf"])
+    def test_non_finite_spellings_fail_the_finite_check(self, tmp_path, spelling):
+        path = tmp_path / "state.json"
+        path.write_text('{"dims": [2], "matrix": [[[1, 0], [%s, 0]], [[0, 0], [0, 0]]]}'
+                        % spelling)
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            load_state(path)
+
+    def test_memory_stays_within_two_and_a_half_file_sizes(self, tmp_path):
+        path = tmp_path / "qubits8.json"
+        save_state(random_mixed((2,) * 8, 3), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            load_state(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * size, peak / size
 
 
 class TestBuildState:
