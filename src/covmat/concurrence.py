@@ -23,7 +23,7 @@ from .states import dm_from_vector
 
 @dataclass(frozen=True)
 class ConcurrenceBounds:
-    """The three lower bounds plus the exact value when the state is pure.
+    """The three lower bounds.
 
     m, n: local dimensions with m <= n; `swapped` records whether the
     parties were reordered to achieve that.
@@ -34,7 +34,6 @@ class ConcurrenceBounds:
     bound_ccnr_ppt: float
     bound_lur: float
     bound_optimized: float
-    exact_pure: float | None = None
     swapped: bool = False
 
     @property
@@ -78,7 +77,7 @@ def bound_lur(
     s = summarize(rho, "concurrence bounds")
     m, n = _mn(s)
     if basis_a is None and basis_b is None:
-        block = s.pair()[0]
+        block = s.pairs[0, 1][0]
     else:
         block = correlation_block(s, 0, 1, basis_a or gell_mann_basis(s.dims[0]),
                                   basis_b or gell_mann_basis(s.dims[1]))
@@ -95,7 +94,7 @@ def bound_optimized(rho: StateLike):
     s = summarize(rho, "concurrence bounds")
     m, _ = _mn(s)
     ea, eb = (1.0 - p for p in s.purities)
-    return (2.0 * s.pair()[1].sum(axis=-1) - ea - eb) / np.sqrt(2.0 * m * (m - 1))
+    return (2.0 * s.pairs[0, 1][1].sum(axis=-1) - ea - eb) / np.sqrt(2.0 * m * (m - 1))
 
 
 def svd_rotated_bases(rho: StateLike) -> tuple[ObservableBasis, ObservableBasis]:
@@ -109,25 +108,20 @@ def svd_rotated_bases(rho: StateLike) -> tuple[ObservableBasis, ObservableBasis]
     s = summarize(rho, "concurrence bounds")
     if s.dims[0] != s.dims[1]:
         raise ValueError("rotated-basis construction requires equal local dimensions")
-    u, _, vt = np.linalg.svd(s.pair()[0])
+    u, _, vt = np.linalg.svd(s.pairs[0, 1][0])
     basis = gell_mann_basis(s.dims[0])
     return rotate_basis(basis, u.T), rotate_basis(basis, -vt)
 
 
-def all_bounds(rho: StateLike, pure_vector: np.ndarray | None = None) -> ConcurrenceBounds:
-    """Evaluate every bound; `pure_vector`, when given, supplies the exact
-    pure-state value alongside."""
+def all_bounds(rho: StateLike) -> ConcurrenceBounds:
+    """Evaluate every bound."""
     s = summarize(rho, "concurrence bounds")
     m, n = _mn(s)
-    exact = None
-    if pure_vector is not None:
-        exact = pure_concurrence(pure_vector, s.dims)
     return ConcurrenceBounds(
         m=m,
         n=n,
         bound_ccnr_ppt=float(bound_ccnr_ppt(s)),
         bound_lur=float(bound_lur(s)),
         bound_optimized=float(bound_optimized(s)),
-        exact_pure=exact,
         swapped=s.dims[0] > s.dims[1],
     )

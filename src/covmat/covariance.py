@@ -4,82 +4,72 @@ cross-correlation blocks of local observables built from it.
 For per-party observable sets {M^i} of an N-party state, the covariance
 matrix splits into per-party diagonal blocks and cross-correlation blocks
 
-    (C_ij)_mn = <M_m^i x M_n^j> - <M_m^i><M_n^j> = tr(Delta_ij (M_m^i x M_n^j)),
+    (C_ij)_mn = <M_m^i x M_n^j> - <M_m^i><M_n^j>.
 
-with Delta_ij = rho_ij - rho_i x rho_j on the two-party reduced state.  In
-an orthonormal product basis C_ij is a change of coordinates of the
-realigned correlation part R(Delta_ij), so it is one matrix product away
-from the realigned state.  `StateSummary` derives R(Delta_ij) and the
-marginals once; the block in any basis and the variance sum are closed
-forms on them.  A summary of a stack of states carries the stack's leading
-axes on every quantity, so one summary serves a whole chunk of states.
+`StateSummary` forms, for each pair of parties i < j, one real matrix: the
+correlations T_gh = <G_g x G_h> of the two local Gell-Mann bases.  T is a
+unitary change of coordinates of the realigned reduced state R(rho_ij).
+Since G_0 = I/sqrt(d), T's first column and first row hold the two
+marginals' Gell-Mann coordinates, so the Gell-Mann cross block C is T
+minus one outer product.  The block in any other orthonormal bases is C
+in those coordinates, W_i C W_j^T.  A summary of a stack of states carries
+the stack's leading axes on every quantity, so one summary serves a whole
+chunk of states.
 """
 from __future__ import annotations
 
-from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
-from .linalg import DensityMatrix, partial_trace, partial_transpose, realign, trace_norm
+from .linalg import DensityMatrix, partial_trace, partial_transpose, realign
 from .observables import ObservableBasis, gell_mann_basis
 
 
-def _cross_block(r_delta: np.ndarray, basis_a: ObservableBasis,
-                 basis_b: ObservableBasis) -> np.ndarray:
-    """C = V_A R(Delta) V_B^T, with V_X holding vec(M^T) of each observable
-    as a row, O(d^6).  Zero-padded observables give zero rows."""
-    va, vb = (b.elements.transpose(0, 2, 1).reshape(len(b), -1) for b in (basis_a, basis_b))
-    return (va @ r_delta @ vb.T).real
+def _rows(basis: ObservableBasis) -> np.ndarray:
+    """vec(M^T) of each observable M as a row, so that the correlations
+    <M_m x M'_n> of a state are (rows R(rho) rows'^T)_mn."""
+    return basis.elements.transpose(0, 2, 1).reshape(len(basis), -1)
+
+
+def _coordinates(basis: ObservableBasis) -> np.ndarray:
+    """W_mg = tr(M_m G_g): each observable's Gell-Mann coordinates as a row;
+    a zero-padded observable gives a zero row."""
+    return (_rows(basis) @ _rows(gell_mann_basis(basis.dim)).conj().T).real
 
 
 class StateSummary:
-    """The matrices every criterion and bound reads, each computed at most once.
+    """Every matrix and decomposition the criteria and bounds read, all
+    computed on construction.
 
     Per party: the marginal rho_k and its purity.  Per pair of parties
-    i < j: R(Delta_ij), and the Gell-Mann cross block C_ij with its
-    singular values.  Bipartite states also give the realigned state R(rho),
-    shared by R(Delta) and the realignment criterion, and the spectrum of
-    rho^(T_A).  Everything past the marginals is computed on first use and
-    kept, so every criterion and bound evaluated on one summary shares a
-    single pass over these matrices, and the pairwise multipartite test
-    computes only the blocks it reads.  For a stack of states every
-    quantity has the stack's leading axes.
+    i < j, `pairs[i, j]`: the Gell-Mann cross block C_ij and its singular
+    values.  Bipartite states also give ||R(rho)||_KF as `realign_norm`,
+    the sum of the singular values of the real T, and the spectrum of
+    rho^(T_A), ascending, as `pt_spectrum`; both are None for more
+    parties.  For a stack of states every quantity has the stack's leading
+    axes.
     """
 
     def __init__(self, rho: DensityMatrix):
         self.state, self.dims = rho, rho.dims
         self.marginals = [partial_trace(rho, (k,)) for k in range(rho.n_parties)]
         self.purities = [m.purity() for m in self.marginals]
-        self._pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-    @cached_property
-    def realigned(self) -> np.ndarray:
-        return realign(self.state)
-
-    @cached_property
-    def realign_norm(self):
-        return trace_norm(self.realigned)
-
-    @cached_property
-    def pt_spectrum(self) -> np.ndarray:
-        """Eigenvalues of rho^(T_A), ascending."""
-        pt = partial_transpose(self.state, 0)
-        return np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2)
-
-    def delta(self, i: int = 0, j: int = 1) -> np.ndarray:
-        """R(rho_ij - rho_i x rho_j) = R(rho_ij) - vec(rho_i) vec(rho_j)^T
-        for parties i < j; R(rho_ij) is R(rho) for a bipartite state."""
-        r = self.realigned if len(self.dims) == 2 else realign(partial_trace(self.state, (i, j)))
-        vec_i, vec_j = (self.marginals[k].mat.reshape(r.shape[:-2] + (-1,)) for k in (i, j))
-        return r - vec_i[..., :, None] * vec_j[..., None, :]
-
-    def pair(self, i: int = 0, j: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """The Gell-Mann cross block of parties i < j and its singular values."""
-        if (i, j) not in self._pairs:
-            block = _cross_block(self.delta(i, j), gell_mann_basis(self.dims[i]),
-                                 gell_mann_basis(self.dims[j]))
-            self._pairs[(i, j)] = block, np.linalg.svd(block, compute_uv=False)
-        return self._pairs[(i, j)]
+        self.realign_norm = self.pt_spectrum = None
+        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        bipartite = rho.n_parties == 2
+        for i, j in combinations(range(rho.n_parties), 2):
+            di, dj = self.dims[i], self.dims[j]
+            r = realign(rho if bipartite else partial_trace(rho, (i, j)))
+            t = (_rows(gell_mann_basis(di)) @ r @ _rows(gell_mann_basis(dj)).T).real
+            del r  # freed before the SVDs, which lowers peak memory on large states
+            c = t - np.sqrt(di * dj) * t[..., :, :1] * t[..., :1, :]
+            self.pairs[i, j] = c, np.linalg.svd(c, compute_uv=False)
+            if bipartite:
+                self.realign_norm = np.linalg.svd(t, compute_uv=False).sum(axis=-1)
+        if bipartite:
+            pt = partial_transpose(rho, 0)
+            self.pt_spectrum = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2)
 
     def variance_sum(self, block: np.ndarray):
         """sum_i Var(A_i x I + I x B_i) over paired observables of two
@@ -112,16 +102,15 @@ def correlation_block(
     basis_j: ObservableBasis,
 ) -> np.ndarray:
     """Cross block C_mn = <M_m^i x M_n^j> - <M_m^i><M_n^j> for parties i != j,
-    read off the summary's R(Delta_ij); rows/columns from zero-padded
-    observables come out zero."""
+    the summary's Gell-Mann block W_i C W_j^T in the given bases' coordinates;
+    rows/columns from zero-padded observables come out zero."""
     if i == j:
         raise ValueError("correlation block requires two distinct parties")
     if basis_i.dim != rho.dims[i] or basis_j.dim != rho.dims[j]:
         raise ValueError("basis dimensions do not match subsystem dimensions")
     s = summarize(rho)
-    if i > j:
-        return _cross_block(s.delta(j, i), basis_j, basis_i).swapaxes(-2, -1)
-    return _cross_block(s.delta(i, j), basis_i, basis_j)
+    block = s.pairs[i, j][0] if i < j else s.pairs[j, i][0].swapaxes(-2, -1)
+    return _coordinates(basis_i) @ block @ _coordinates(basis_j).T
 
 
 def joint_variance_sum(

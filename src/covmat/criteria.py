@@ -26,15 +26,6 @@ BOUNDARY = "BOUNDARY"
 
 TRIPARTITE_PARTITIONS = ("A|BC", "AB|C", "AC|B")
 
-# Pairs whose cross blocks a biseparable state still constrains:
-# the block between the split-off party and anything else is zero, so only
-# the listed inequalities survive the concavity argument.
-_BISEP_PAIRS = {
-    "A|BC": ((0, 1), (0, 2)),
-    "AB|C": ((0, 2), (1, 2)),
-    "AC|B": ((0, 1), (1, 2)),
-}
-
 
 @dataclass(frozen=True)
 class CriterionVerdict:
@@ -83,13 +74,13 @@ def make_verdict(name, lhs, rhs, tol=DECISION_TOL, details=None) -> CriterionVer
 def kf_sides(s: StateSummary, i: int = 0, j: int = 1):
     """||C_ij||_KF <= ((1 - tr rho_i^2) + (1 - tr rho_j^2)) / 2."""
     ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
-    return s.pair(i, j)[1].sum(axis=-1), (ei + ej) / 2
+    return s.pairs[i, j][1].sum(axis=-1), (ei + ej) / 2
 
 
 def hs_sides(s: StateSummary, i: int = 0, j: int = 1):
     """||C_ij||_HS^2 <= (1 - tr rho_i^2)(1 - tr rho_j^2)."""
     ei, ej = 1.0 - s.purities[i], 1.0 - s.purities[j]
-    return (s.pair(i, j)[1] ** 2).sum(axis=-1), ei * ej
+    return (s.pairs[i, j][1] ** 2).sum(axis=-1), ei * ej
 
 
 def ppt_sides(s: StateSummary):
@@ -112,7 +103,7 @@ def kf_criterion(rho: StateLike, tol: float = DECISION_TOL) -> CriterionVerdict:
     precursor) is reported in details.
     """
     s = summarize(rho, "trace-norm criterion")
-    diag_abs_sum = float(np.abs(np.diagonal(s.pair()[0])).sum())
+    diag_abs_sum = float(np.abs(np.diagonal(s.pairs[0, 1][0])).sum())
     return make_verdict("kf", *kf_sides(s), tol, details={"diag_abs_sum": diag_abs_sum})
 
 
@@ -195,6 +186,11 @@ def tripartite_bisep(
     s = summarize(rho)
     if len(s.dims) != 3:
         raise ValueError(f"biseparability test requires 3 parties, got {len(s.dims)}")
-    if partition not in _BISEP_PAIRS:
+    if partition not in TRIPARTITE_PARTITIONS:
         raise ValueError(f"unknown partition {partition!r}, expected one of {TRIPARTITE_PARTITIONS}")
-    return _report(s, _BISEP_PAIRS[partition], tol, partition)
+    # A mixture of products across the cut S|rest reduces, on each pair that
+    # crosses the cut, to a separable two-party state, whose inequalities
+    # hold by concavity; pairs on one side of the cut are unconstrained.
+    side = {"ABC".index(p) for p in partition.split("|")[0]}
+    return _report(s, [(i, j) for i, j in combinations(range(3), 2)
+                       if (i in side) != (j in side)], tol, partition)

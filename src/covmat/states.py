@@ -185,7 +185,8 @@ def _skeleton(D: int) -> bytes:
 
 def load_state(path) -> DensityMatrix:
     """Load a state from a JSON file of the form FILE_FORM: the D x D
-    matrix, D = d1 * d2 * ..., with each entry an [re, im] pair.
+    matrix, D = d1 * d2 * ..., with each entry an [re, im] pair, and each
+    dimension a JSON integer (2.0, "2" and true are errors).
 
     The one "matrix" key holds numbers only, read as decimals by numpy:
     besides JSON numbers and the NaN/Infinity that `json.dumps` writes,
@@ -210,7 +211,10 @@ def load_state(path) -> DensityMatrix:
                           or dict(pairs))
         if not isinstance(data, dict) or keys.count("matrix") != 1 or "matrix" not in data:
             raise ValueError('"matrix" must be the only key of that name, at the top level')
-        dims = tuple(int(d) for d in data["dims"])
+        dims = data["dims"]
+        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+            raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
+        dims = tuple(dims)
         D = math.prod(dims)
         matrix = raw[start:end]
         del raw, key  # the match holds the whole file too

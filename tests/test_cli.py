@@ -376,9 +376,14 @@ class TestBadInput:
         b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]',
         b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}}',
         b'{"dims": [4294967296, 4294967296], "matrix": [[[1, 0]]]}',
+        # dims other than a list of JSON integers, each with a valid 4x4 matrix
+        *(json.dumps({"dims": dims, "matrix": (np.stack([np.eye(4), np.zeros((4, 4))], -1)
+                                               / 4).tolist()}).encode()
+          for dims in ([2.9, 2.2], ["2", "2"], [2.0, 2], [True, 4], "22")),
     ], ids=["triples", "extra", "missing", "trailing-comma", "two-in-one", "empty-entry",
             "string", "true", "second-key", "nested-key", "only-nested", "in-string",
-            "empty-file", "not-utf8", "unclosed", "extra-brace", "huge-dims"])
+            "empty-file", "not-utf8", "unclosed", "extra-brace", "huge-dims",
+            "float-dims", "string-dims", "integral-float-dims", "bool-dims", "dims-string"])
     def test_malformed_file_bytes(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
         path.write_bytes(content)

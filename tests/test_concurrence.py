@@ -115,8 +115,7 @@ class TestValidityAndInvariance:
             rho = random_pure(dims, seed)
             psi = np.linalg.eigh(rho.mat)[1][:, -1]
             exact = pure_concurrence(psi / np.linalg.norm(psi), dims)
-            b = all_bounds(rho, psi / np.linalg.norm(psi))
-            assert b.exact_pure == pytest.approx(exact, abs=1e-12)
+            b = all_bounds(rho)
             assert b.bound_ccnr_ppt <= exact + 1e-8
             assert b.bound_lur <= exact + 1e-8
             assert b.bound_optimized <= exact + 1e-8

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covmat.covariance import correlation_block, joint_variance_sum
+from covmat import concurrence, covariance, criteria
+from covmat.covariance import StateSummary, correlation_block, joint_variance_sum
 from covmat.linalg import DensityMatrix, partial_trace, trace_norm
 from covmat.observables import gell_mann_basis, pad_basis, rotate_basis
 from covmat.states import (
@@ -219,3 +222,33 @@ class TestJointVarianceSum:
             - 2 * s.sum()
         )
         assert joint_variance_sum(rho, ba, bb) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [random_mixed((2, 3), 1), random_mixed((3, 5), 2, rank=3),
+                                 random_mixed((2, 2, 3), 3)], ids=["2x3", "3x5", "2x2x3"])
+def test_criteria_and_bounds_only_read_the_summary(monkeypatch, rho):
+    # the summary computes every matrix and decomposition when it is built;
+    # criteria and bounds on it are formulas only
+    s = StateSummary(rho)
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.update([name]) or fn(*a, **k))
+
+    for module in (covariance, criteria, concurrence):
+        for name in ("partial_trace", "realign"):
+            if hasattr(module, name):
+                counted(module, name)
+    for name in ("svd", "eigvalsh"):
+        counted(np.linalg, name)
+    if rho.n_parties == 2:
+        for criterion in (criteria.kf_criterion, criteria.hs_criterion,
+                          criteria.ppt_criterion, criteria.ccnr_criterion):
+            criterion(s)
+        concurrence.all_bounds(s)
+    criteria.detections(s)
+    criteria.multipartite_full_sep(s)
+    assert calls == Counter()
+    StateSummary(rho)  # the counters do see the summary's own work
+    assert calls["realign"] and calls["svd"]

@@ -98,8 +98,7 @@ def test_a_stack_summarises_like_its_members(dims):
         for a, b in zip(stack.purities, one.purities):
             assert np.array_equal(a[k], b)
         for i, j in pairs:
-            assert np.array_equal(stack.delta(i, j)[k], one.delta(i, j))
-            for a, b in zip(stack.pair(i, j), one.pair(i, j)):
+            for a, b in zip(stack.pairs[i, j], one.pairs[i, j]):
                 assert np.array_equal(a[k], b)
         if len(dims) == 2:
             assert np.array_equal(stack.pt_spectrum[k], one.pt_spectrum)
@@ -109,11 +108,10 @@ def test_a_stack_summarises_like_its_members(dims):
 
 
 def test_given_bases_read_the_summary(monkeypatch):
-    # once the summary holds R(rho), the block, the variance sum and the
-    # bound in any other bases need no partial trace and no realignment
+    # the block, the variance sum and the bound in any other bases need no
+    # partial trace and no realignment beyond the summary's own
     dims = (3, 4)
     summary = StateSummary(random_mixed(dims, 0))
-    summary.realigned
     calls = Counter()
     for module in (covariance, concurrence):
         for name in ("partial_trace", "realign"):
