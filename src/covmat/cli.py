@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ operation here acts on the last two axes, so a stack is one call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -17,6 +19,9 @@ import numpy as np
 HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+# Validation takes the Hermitian residual over blocks of rows this size, so
+# that its temporaries stay small next to the matrix.
+ROW_BLOCK_BYTES = 64 * 1024
 
 
 class InvalidStateError(ValueError):
@@ -54,32 +59,42 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "dims", dims)
-        if not dims or any(d < 2 for d in dims):
+        if not dims or min(dims) < 2:
             raise InvalidStateError(f"subsystem dimensions must be >= 2, got {dims}")
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        D = int(np.prod(dims))
+        D = math.prod(dims)
         if mat.shape[-2:] != (D, D):
             raise InvalidStateError(
                 f"matrix shape {mat.shape} does not match dims {dims} (D={D})"
             )
         _require(np.isfinite(mat).all(axis=(-2, -1)),
                  lambda k: "matrix has non-finite entries (NaN or infinity)")
-        adj = mat.conj().swapaxes(-2, -1)
-        herm_res = np.abs(mat - adj).max(axis=(-2, -1))
+        # One matrix-sized buffer serves every check: rho^dag for the
+        # Hermitian residual, taken a block of rows at a time, then
+        # (rho + rho^dag)/2 shifted by PSD_TOL on its diagonal.
+        buf = np.conjugate(mat.swapaxes(-2, -1), out=np.empty(mat.shape, dtype=complex))
+        rows = max(1, ROW_BLOCK_BYTES * D // max(1, mat.nbytes))
+        herm_res = reduce(np.maximum, (np.abs(mat[..., i:i + rows, :] - buf[..., i:i + rows, :])
+                                       .max(axis=(-2, -1)) for i in range(0, D, rows)))
         _require(herm_res <= HERM_TOL, lambda k: f"not Hermitian: residual {herm_res[k]:.3e}")
         tr_res = np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0)
         _require(tr_res <= TRACE_TOL, lambda k: f"trace differs from 1 by {tr_res[k]:.3e}")
         # Every member's min eigenvalue is above -PSD_TOL iff the shifted
         # stack has a Cholesky factor; only without one does eigvalsh decide
         # and name the member and its eigenvalue.
-        herm = (mat + adj) / 2
+        buf += mat
+        buf /= 2
+        buf.reshape(mat.shape[:-2] + (D * D,))[..., ::D + 1] += PSD_TOL
         try:
-            np.linalg.cholesky(herm + PSD_TOL * np.eye(D))
+            np.linalg.cholesky(buf)
         except np.linalg.LinAlgError:
-            min_eig = np.linalg.eigvalsh(herm)[..., 0]
+            np.conjugate(mat.swapaxes(-2, -1), out=buf)
+            buf += mat
+            buf /= 2
+            min_eig = np.linalg.eigvalsh(buf)[..., 0]
             _require(min_eig >= -PSD_TOL,
                      lambda k: f"not positive semidefinite: min eigenvalue {min_eig[k]:.3e}")
 
@@ -164,11 +179,6 @@ def realign(rho: DensityMatrix) -> np.ndarray:
 def trace_norm(m: np.ndarray):
     """Ky Fan (trace) norm: sum of singular values, per matrix of a stack."""
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False).sum(axis=-1)
-
-
-def hs_norm(m: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(m, dtype=complex)))
 
 
 def min_eigenvalue(h: np.ndarray, herm_tol: float = HERM_TOL) -> float:

@@ -10,7 +10,6 @@ import json
 import math
 import re
 from functools import reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -167,11 +166,16 @@ def random_separable(dims, terms: int, seed) -> DensityMatrix:
 
 FILE_FORM = '{"dims": [d1, d2, ...], "matrix": [[[re, im], ...], ...]}'
 
+# A state file is read in blocks of this many bytes, so that loading it
+# holds the matrix and a few blocks, never the whole file.
+READ_BLOCK = 64 * 1024
 # The "matrix" key, not inside a string (no backslash before it), and the
 # characters its array may hold besides brackets and commas: JSON
 # whitespace and those of numbers, NaN and Infinity.
 _MATRIX_KEY = re.compile(rb'(?<!\\)"matrix"\s*:\s*(?=\[)')
 _NUMBER_CHARS = b"0123456789.eE+-NaInfity \t\n\r"
+# what of a "matrix" key the end of a block can cut off
+_KEY_SO_FAR = re.compile(rb'"matrix"\s*(?::\s*)?')
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # numpy reads an entry of whitespace alone as -1
 _EMPTY_ENTRY = re.compile(rb"(?:^|,)[ \t\n\r]*(?:,|$)")
@@ -183,6 +187,97 @@ def _skeleton(D: int) -> bytes:
     return b"[" + b",".join([row] * D) + b"]"
 
 
+def _find_matrix(fh) -> tuple[bytes, int, int, bytes | None]:
+    """Scan a state file for its "matrix" array, one block at a time.
+
+    Returns the file with the array replaced by `null`, the offsets of the
+    array's first and past its last byte, and the file itself when it was
+    read whole: when one block holds it, or when it is a pipe, which cannot
+    be read twice.  The array ends at its last "]" before the next key or
+    the "}" that closes the object; any other character in it is left to
+    the skeleton check."""
+    seekable = fh.seekable()
+    head = fh.read(READ_BLOCK if seekable else -1)  # up to the end of the block with the key
+    eof = not seekable or len(head) < READ_BLOCK
+    key = _MATRIX_KEY.search(head)
+    if key is None and not eof:
+        head = bytearray(head)
+    while key is None and not eof:
+        block = fh.read(READ_BLOCK)
+        eof = len(block) < READ_BLOCK
+        cut = len(head)
+        head += block
+        # a key that the previous block ended in starts at its last "matrix"
+        last = head.rfind(b'"matrix"', 0, cut)
+        resume = last if last >= 0 and _KEY_SO_FAR.fullmatch(head, last, cut) else cut - 7
+        key = _MATRIX_KEY.search(head, max(0, resume))
+    if key is None:
+        raise ValueError('no "matrix" array')
+    start = key.end()
+    data, pos, offset, close = head, start, 0, -1
+    while True:
+        quote, brace = data.find(b'"', pos), data.find(b"}", pos)
+        stop = min(quote, brace) if quote >= 0 and brace >= 0 else max(quote, brace)
+        found = data.rfind(b"]", pos, len(data) if stop < 0 else stop)
+        if found >= 0:
+            close = offset + found
+        if stop >= 0 or eof:
+            break
+        offset += len(data)
+        data, pos = fh.read(READ_BLOCK), 0
+        eof = len(data) < READ_BLOCK
+    if close < 0:
+        raise ValueError('the "matrix" array is not closed')
+    end = close + 1
+    if eof and data is head:
+        return bytes(head[:start]) + b"null" + head[end:], start, end, bytes(head)
+    fh.seek(end)
+    return bytes(head[:start]) + b"null" + fh.read(), start, end, None
+
+
+def _blocks(fh, start: int, end: int):
+    """The bytes from offset `start` to `end` of a file, a block at a time,
+    each with whether it is the last."""
+    fh.seek(start)
+    left = end - start
+    while left > 0:
+        block = fh.read(min(READ_BLOCK, left))
+        left = left - len(block) if block else 0  # a file cut short ends here
+        yield block, left == 0
+
+
+def _parse_matrix(blocks, D: int) -> np.ndarray:
+    """The 2 D^2 numbers of a (D, D, 2) JSON array, read into one float
+    array.  Each block, cut after its last comma, has its brackets and
+    commas checked against the skeleton and its numbers read by numpy."""
+    skeleton = _skeleton(D)
+    parts = np.empty(2 * D * D)
+    pending, matched, done = [], 0, 0  # pending: what follows the last comma read
+    for block, last in blocks:
+        cut = len(block) if last else block.rfind(b",") + 1
+        if not cut:
+            pending.append(block)
+            continue
+        piece = b"".join([*pending, block[:cut]])
+        pending = [block[cut:]]
+        bones = piece.translate(None, _NUMBER_CHARS)
+        if bones != skeleton[matched:matched + len(bones)]:
+            raise ValueError(f"matrix is not a ({D}, {D}, 2) array")
+        matched += len(bones)
+        piece = piece.translate(_BRACKETS_TO_SPACES)
+        values = np.fromstring(piece, sep=",")
+        count = bones.count(b",") + last  # the entries this piece holds
+        if values.size != count:
+            raise ValueError("matrix has an entry that is not one number")
+        if (values == -1).any() and _EMPTY_ENTRY.search(piece):
+            raise ValueError("matrix has an empty entry")
+        parts[done:done + count] = values
+        done += count
+    if matched != len(skeleton):
+        raise ValueError(f"matrix is not a ({D}, {D}, 2) array")
+    return parts
+
+
 def load_state(path) -> DensityMatrix:
     """Load a state from a JSON file of the form FILE_FORM: the D x D
     matrix, D = d1 * d2 * ..., with each entry an [re, im] pair, and each
@@ -190,56 +285,42 @@ def load_state(path) -> DensityMatrix:
 
     The one "matrix" key holds numbers only, read as decimals by numpy:
     besides JSON numbers and the NaN/Infinity that `json.dumps` writes,
-    spellings such as `.5`, `+1` and `01` read as their values.  No
-    Python object is made per number, so reading peaks at about twice
-    the file size in memory."""
+    spellings such as `.5`, `+1` and `01` read as their values.  The file
+    is read in blocks of READ_BLOCK bytes and its numbers go straight into
+    the matrix, with no Python object per number, so loading holds the
+    matrix and a few blocks, whatever the file's size or layout."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        key = _MATRIX_KEY.search(raw)
-        if key is None:
-            raise ValueError('no "matrix" array')
-        # The array ends at its last "]" before the next key or the "}" that
-        # closes the object; any other character in it stays in the skeleton.
-        start = key.end()
-        stop = min((i for i in (raw.find(b'"', start), raw.find(b"}", start)) if i >= 0),
-                   default=len(raw))
-        end = raw.rfind(b"]", start, stop) + 1
-        keys = []
-        data = json.loads(raw[:start] + b"null" + raw[end:],
-                          object_pairs_hook=lambda pairs: keys.extend(k for k, _ in pairs)
-                          or dict(pairs))
-        if not isinstance(data, dict) or keys.count("matrix") != 1 or "matrix" not in data:
-            raise ValueError('"matrix" must be the only key of that name, at the top level')
-        dims = data["dims"]
-        if not isinstance(dims, list) or any(type(d) is not int for d in dims):
-            raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
-        dims = tuple(dims)
-        D = math.prod(dims)
-        matrix = raw[start:end]
-        del raw, key  # the match holds the whole file too
-        skeleton = matrix.translate(None, _NUMBER_CHARS)
-        if len(skeleton) != 4 * D * D + 2 * D + 1 or skeleton != _skeleton(D):
-            raise ValueError(f"matrix is not a ({D}, {D}, 2) array")
-        del skeleton
-        text = matrix.translate(_BRACKETS_TO_SPACES)
-        del matrix
-        parts = np.fromstring(text, sep=",")
-        if parts.size != 2 * D * D:
-            raise ValueError(f"matrix holds {parts.size} numbers, dims need {2 * D * D}")
-        if (parts == -1).any() and _EMPTY_ENTRY.search(text):
-            raise ValueError("matrix has an empty entry")
-        del text
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidStateError(
-            f"bad state file {path} ({exc!r}), expected {FILE_FORM}") from None
+        try:
+            outside, start, end, whole = _find_matrix(fh)
+            keys = []
+            data = json.loads(outside, object_pairs_hook=lambda pairs:
+                              keys.extend(k for k, _ in pairs) or dict(pairs))
+            if not isinstance(data, dict) or keys.count("matrix") != 1 or "matrix" not in data:
+                raise ValueError('"matrix" must be the only key of that name, at the top level')
+            dims = data["dims"]
+            if not isinstance(dims, list) or any(type(d) is not int for d in dims):
+                raise ValueError(f'"dims" must be a list of integers, got {dims!r}')
+            dims = tuple(dims)
+            D = math.prod(dims)
+            # the skeleton plus at least one character per number
+            if end - start < 6 * D * D + 2 * D + 1:
+                raise ValueError(f"matrix is not a ({D}, {D}, 2) array")
+            blocks = [(whole[start:end], True)] if whole else _blocks(fh, start, end)
+            parts = _parse_matrix(blocks, D)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidStateError(
+                f"bad state file {path} ({exc!r}), expected {FILE_FORM}") from None
     return DensityMatrix(dims, parts.view(complex).reshape(D, D))
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    """Write `rho` in the form `load_state` reads."""
-    matrix = np.stack([rho.mat.real, rho.mat.imag], -1).tolist()
-    Path(path).write_text(json.dumps({"dims": list(rho.dims), "matrix": matrix}))
+    """Write `rho` in the form `load_state` reads, one row at a time: the
+    bytes `json.dumps` gives for the whole nested list, without making it."""
+    with open(path, "w") as fh:
+        fh.write(f'{{"dims": {json.dumps(list(rho.dims))}, "matrix": [')
+        for k, row in enumerate(rho.mat):
+            fh.write((", " if k else "") + json.dumps(np.stack([row.real, row.imag], -1).tolist()))
+        fh.write("]}")
 
 
 def parse_dims(text: str) -> tuple[int, ...]:

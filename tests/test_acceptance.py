@@ -30,7 +30,6 @@ from covmat.criteria import (
 )
 from covmat.cli import analyze_state
 from covmat.linalg import (
-    hs_norm,
     min_eigenvalue,
     partial_transpose,
     realign,
@@ -196,7 +195,7 @@ def test_8_oracle_equivalence_on_two_qubit_ensemble(report):
         worst["kf"] = max(worst["kf"],
                           abs(trace_norm(block) - oracles.trace_norm_brute(brute)))
         worst["hs"] = max(worst["hs"],
-                          abs(hs_norm(block) - oracles.hs_norm_brute(brute)))
+                          abs(np.linalg.norm(block) - oracles.hs_norm_brute(brute)))
         r = realign(rho)
         rb = oracles.realign_brute(rho.mat, (2, 2))
         worst["realign"] = max(

@@ -391,6 +391,21 @@ class TestBadInput:
         assert_one_line_error(code, err)
         assert '"matrix": [[[re, im], ...], ...]' in err
 
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        # a 300x300 separable state needs a 129 GB accumulator; the allocation
+        # is made to fail here rather than attempted
+        zeros = np.zeros
+
+        def failing_zeros(shape, *args, **kwargs):
+            if np.prod(shape) > 10**8:
+                raise MemoryError(f"Unable to allocate an array with shape {shape}")
+            return zeros(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros", failing_zeros)
+        code, out, err = run_cli(capsys, ["bench", "--dims", "300x300", "--count", "2"])
+        assert_one_line_error(code, err)
+        assert out == "" and err.startswith("error: out of memory: Unable to allocate")
+
     def test_spec_missing_seed(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--state", "random_pure:2x2"])
         assert_one_line_error(code, err)

@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from covmat.linalg import (
+    HERM_TOL,
     PSD_TOL,
+    TRACE_TOL,
     DensityMatrix,
     InvalidStateError,
     InvalidSubsystemError,
-    hs_norm,
     min_eigenvalue,
     partial_trace,
     partial_transpose,
@@ -96,6 +99,41 @@ class TestDensityMatrixInvariants:
     def test_rank_one_state_of_dimension_256_is_accepted(self):
         v = np.random.default_rng(4).standard_normal(256) + 0j
         DensityMatrix((2,) * 8, np.outer(v, v) / (v @ v))
+
+    @staticmethod
+    def state_256(seed=1):
+        """A 256 x 256 state with eigenvalues of at least 1/512."""
+        return 0.5 * random_mixed((2,) * 8, seed).mat + 0.5 * np.eye(256) / 256
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+    @pytest.mark.parametrize("fault, message", [
+        ("hermitian", "not Hermitian: residual 2.000e-10"),
+        ("trace", "trace differs from 1 by 2.000e-10"),
+    ])
+    def test_tolerances_at_dimension_256(self, stacked, fault, message):
+        def shifted(scale):
+            mat = np.stack([self.state_256(s) for s in range(5)]) if stacked else self.state_256()
+            member = mat[3] if stacked else mat
+            if fault == "hermitian":  # a late row, so the residual is not in the first block
+                member[200, 17] += scale * HERM_TOL
+            else:
+                member[200, 200] += scale * TRACE_TOL
+            return mat
+
+        DensityMatrix((2,) * 8, shifted(0.5))
+        with pytest.raises(InvalidStateError) as exc:
+            DensityMatrix((2,) * 8, shifted(2))
+        assert str(exc.value) == message + (" (stack member 3)" if stacked else "")
+
+    def test_validation_holds_two_matrices_at_most(self):
+        mat = self.state_256()
+        tracemalloc.start()
+        try:
+            DensityMatrix((2,) * 8, mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * mat.nbytes, peak / mat.nbytes
 
     def test_valid_states_need_no_eigenvalues(self, monkeypatch):
         # the Cholesky factor decides; eigvalsh runs only to name a failure
@@ -198,7 +236,7 @@ class TestRealign:
         rho = product_state([a, b])
         r = realign(rho)
         tn = trace_norm(r)
-        assert tn == pytest.approx(hs_norm(a.mat) * hs_norm(b.mat), abs=1e-12)
+        assert tn == pytest.approx(np.linalg.norm(a.mat) * np.linalg.norm(b.mat), abs=1e-12)
         assert tn <= 1 + 1e-12
 
     def test_mes3_trace_norm(self):
@@ -225,23 +263,20 @@ class TestRealign:
 class TestNorms:
     def test_identity(self):
         assert trace_norm(np.eye(5)) == pytest.approx(5.0, abs=1e-12)
-        assert hs_norm(np.eye(5)) == pytest.approx(np.sqrt(5), abs=1e-12)
 
     def test_zero(self):
         assert trace_norm(np.zeros((3, 4))) == 0.0
-        assert hs_norm(np.zeros((3, 4))) == 0.0
 
     def test_diagonal(self):
         d = np.diag([3.0, -4.0])
         assert trace_norm(d) == pytest.approx(7.0, abs=1e-12)
-        assert hs_norm(d) == pytest.approx(5.0, abs=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_trace_norm_dominates_hs_norm(self, seed):
         rng = np.random.default_rng(seed)
         m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        assert trace_norm(m) >= hs_norm(m) >= 0.0
+        assert trace_norm(m) >= np.linalg.norm(m) >= 0.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

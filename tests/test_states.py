@@ -1,5 +1,8 @@
 import json
+import os
+import re
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -8,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from covmat import states
 from covmat.linalg import DensityMatrix, InvalidStateError, min_eigenvalue, partial_transpose
 from covmat.states import (
+    FILE_FORM,
     bennett_state,
     build_state,
     dm_from_vector,
@@ -166,6 +171,26 @@ class TestFileRoundTrip:
         assert path.read_text() == json.dumps({"dims": [2, 3], "matrix": entries})
         np.testing.assert_array_equal(load_state(path).mat, rho.mat)
 
+    def test_rows_are_written_as_json_dumps_writes_the_whole(self, tmp_path):
+        edge = [-0.0, 5e-324, -2.225073858507201e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1 / 3, -1.0]
+        mat = np.resize(np.array(edge), 2 * 4 * 4).view(complex).reshape(4, 4)
+        with mock.patch.object(DensityMatrix, "__post_init__", lambda self: None):
+            save_state(DensityMatrix((2, 2), mat), tmp_path / "edge.json")
+        pairs = np.stack([mat.real, mat.imag], -1).tolist()
+        assert (tmp_path / "edge.json").read_bytes() == json.dumps(
+            {"dims": [2, 2], "matrix": pairs}).encode()
+
+    def test_writing_holds_one_row_at_a_time(self, tmp_path):
+        rho = random_mixed((2,) * 8, 3)
+        tracemalloc.start()
+        try:
+            save_state(rho, tmp_path / "qubits8.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rho.mat.nbytes, peak / rho.mat.nbytes
+
 
 def bits(a) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64).ravel()
@@ -231,6 +256,92 @@ class TestLoadState:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * size, peak / size
+
+    @staticmethod
+    def load_peak(path) -> int:
+        tracemalloc.start()
+        try:
+            load_state(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_holds_the_matrix_not_the_file(self, tmp_path):
+        rho = random_mixed((2,) * 8, 3)
+        pairs = np.stack([rho.mat.real, rho.mat.imag], -1).tolist()
+        save_state(rho, tmp_path / "compact.json")
+        (tmp_path / "indented.json").write_text(
+            json.dumps({"dims": [2] * 8, "matrix": pairs}, indent=2))
+        del pairs
+        compact, indented = (self.load_peak(tmp_path / f"{name}.json")
+                             for name in ("compact", "indented"))
+        assert abs(indented - compact) < 0.05 * compact, (compact, indented)
+        assert max(compact, indented) <= 4 * rho.mat.nbytes, compact / rho.mat.nbytes
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_any_block_size_reads_the_same_bits(self, tmp_path, monkeypatch, block):
+        rho = random_mixed((2, 3), 6)
+        pairs = np.stack([rho.mat.real, rho.mat.imag], -1).tolist()
+        save_state(rho, tmp_path / "plain.json")
+        (tmp_path / "first.json").write_text(
+            json.dumps({"matrix": pairs, "note": "]" * 300, "dims": [2, 3]}))
+        (tmp_path / "pretty.json").write_text(
+            json.dumps({"dims": [2, 3], "matrix": pairs}, indent=3))
+        (tmp_path / "spaced.json").write_text(
+            json.dumps({"dims": [2, 3], "note": "x" * 200, "matrix": pairs})
+            .replace('"matrix":', '"matrix"' + " " * 150 + ":" + " " * 150)
+            .replace("]], [[", "]]," + " " * 300 + "[["))
+        monkeypatch.setattr(states, "READ_BLOCK", block)
+        for name in ("plain", "first", "pretty", "spaced"):
+            assert np.array_equal(bits(load_state(tmp_path / f"{name}.json").mat),
+                                  bits(rho.mat)), name
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("content", [
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, ]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [ , 0]], [[0, 0], [0.5, 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5 0.25, 0]]]}',
+        b'{"dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5]]]}',
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]], "matrix": 1}',
+        b'{"dims": [2], "matrix"  \n : [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]',
+        b'{"dims": [2], "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]   ',
+        b'{"dims": [2], "matrix": 1}',
+    ], ids=["trailing-comma", "empty-entry", "two-in-one", "missing", "second-key",
+            "unclosed-object", "unclosed-array", "no-array"])
+    def test_any_block_size_refuses_the_same_files(self, tmp_path, monkeypatch, block,
+                                                  content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        monkeypatch.setattr(states, "READ_BLOCK", block)
+        with pytest.raises(InvalidStateError, match=re.escape(FILE_FORM)):
+            load_state(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        rho = random_mixed((2,) * 7, 2)  # a file of several blocks
+        save_state(rho, tmp_path / "state.json")
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        writer = threading.Thread(
+            target=lambda: pipe.write_bytes((tmp_path / "state.json").read_bytes()), daemon=True)
+        writer.start()
+        try:
+            loaded = load_state(pipe)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(bits(loaded.mat), bits(rho.mat))
+
+    def test_too_short_an_array_is_refused_before_allocating(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated for the matrix")
+
+        path = tmp_path / "huge.json"
+        path.write_bytes(b'{"dims": [65536, 65536], "matrix": [[[1, 0]]]}')
+        monkeypatch.setattr(states, "_skeleton", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        with pytest.raises(InvalidStateError, match=r"not a \(4294967296, 4294967296, 2\)"):
+            load_state(path)
 
 
 class TestBuildState:
