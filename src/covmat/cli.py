@@ -52,12 +52,17 @@ class AnalysisReport:
         return found
 
     def to_dict(self) -> dict:
-        """JSON-ready form; the pair (i, j) is keyed "i,j"."""
-        d = dataclasses.asdict(self)
-        if d["multipartite"] is not None:
-            pairs = d["multipartite"]["pair_verdicts"]
-            d["multipartite"]["pair_verdicts"] = {f"{i},{j}": v for (i, j), v in pairs.items()}
-        return d
+        """JSON-ready form, the fields in the order and nesting that
+        `dataclasses.asdict` gives, built without its deep copies: it shares
+        the report's lists and `timing_ms`.  The pair (i, j) is keyed "i,j"."""
+        m = self.multipartite
+        return {**vars(self),
+                "verdicts": [dict(vars(v)) for v in self.verdicts],
+                "multipartite": None if m is None else {
+                    **vars(m), "pair_verdicts": {
+                        f"{i},{j}": {k: dict(vars(v)) for k, v in pair.items()}
+                        for (i, j), pair in m.pair_verdicts.items()}},
+                "bounds": None if self.bounds is None else dict(vars(self.bounds))}
 
 
 def fmt(x: float) -> str:

@@ -11,10 +11,12 @@ correlations T_gh = <G_g x G_h> of the two local Gell-Mann bases.  T is a
 unitary change of coordinates of the realigned reduced state R(rho_ij).
 Since G_0 = I/sqrt(d), T's first column and first row hold the two
 marginals' Gell-Mann coordinates, so the Gell-Mann cross block C is T
-minus one outer product.  The block in any other orthonormal bases is C
-in those coordinates, W_i C W_j^T.  A summary of a stack of states carries
-the stack's leading axes on every quantity, so one summary serves a whole
-chunk of states.
+minus one outer product, and the marginals' purities are the squared
+norms of that column and row.  Pairs of the same local dimensions are
+stacked and go through one realignment, one product and one SVD.  The
+block in any other orthonormal bases is C in those coordinates,
+W_i C W_j^T.  A summary of a stack of states carries the stack's leading
+axes on every quantity, so one summary serves a whole chunk of states.
 """
 from __future__ import annotations
 
@@ -42,32 +44,47 @@ class StateSummary:
     """Every matrix and decomposition the criteria and bounds read, all
     computed on construction.
 
-    Per party: the marginal rho_k and its purity.  Per pair of parties
-    i < j, `pairs[i, j]`: the Gell-Mann cross block C_ij and its singular
-    values.  Bipartite states also give ||R(rho)||_KF as `realign_norm`,
-    the sum of the singular values of the real T, and the spectrum of
-    rho^(T_A), ascending, as `pt_spectrum`; both are None for more
-    parties.  For a stack of states every quantity has the stack's leading
-    axes.
+    Per party: the purity of its marginal, read off the first column or
+    row of a pair's T.  Per pair of parties i < j, `pairs[i, j]`: the
+    Gell-Mann cross block C_ij and its singular values.  Bipartite states
+    also give ||R(rho)||_KF as `realign_norm`, the sum of the singular
+    values of the real T, and the spectrum of rho^(T_A), ascending, as
+    `pt_spectrum`; both are None for more parties.  For a stack of states
+    every quantity has the stack's leading axes.
     """
 
     def __init__(self, rho: DensityMatrix):
+        n = rho.n_parties
+        if n < 2:  # no pair to read a purity from, and no criterion applies
+            raise ValueError(f"full separability test requires at least two parties, got {n}")
         self.state, self.dims = rho, rho.dims
-        self.marginals = [partial_trace(rho, (k,)) for k in range(rho.n_parties)]
-        self.purities = [m.purity() for m in self.marginals]
         self.realign_norm = self.pt_spectrum = None
         self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        bipartite = rho.n_parties == 2
-        for i, j in combinations(range(rho.n_parties), 2):
-            di, dj = self.dims[i], self.dims[j]
-            r = realign(rho if bipartite else partial_trace(rho, (i, j)))
+        shapes: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for i, j in combinations(range(n), 2):
+            shapes.setdefault((self.dims[i], self.dims[j]), []).append((i, j))
+        self.purities = [None] * n
+        for (di, dj), pairs in shapes.items():
+            # the reduced states of these pairs on an axis just before the
+            # matrices; a bipartite state's one pair is the state itself
+            mats = (rho.mat[..., None, :, :] if n == 2 else
+                    np.stack([partial_trace(rho, ij).mat for ij in pairs], axis=-3))
+            r = realign(DensityMatrix._derived((di, dj), mats))
             t = (_rows(gell_mann_basis(di)) @ r @ _rows(gell_mann_basis(dj)).T).real
             del r  # freed before the SVDs, which lowers peak memory on large states
             c = t - np.sqrt(di * dj) * t[..., :, :1] * t[..., :1, :]
-            self.pairs[i, j] = c, np.linalg.svd(c, compute_uv=False)
-            if bipartite:
-                self.realign_norm = np.linalg.svd(t, compute_uv=False).sum(axis=-1)
-        if bipartite:
+            sv = np.linalg.svd(c, compute_uv=False)
+            for p, (i, j) in enumerate(pairs):
+                self.pairs[i, j] = c[..., p, :, :], sv[..., p, :]
+                # tr rho_i^2 = d_j sum_g T_g0^2 and tr rho_j^2 = d_i sum_h T_0h^2:
+                # party 0 reads pair (0, 1)'s first column, party j pair (0, j)'s row
+                if i == 0:
+                    self.purities[j] = di * np.square(t[..., p, 0, :]).sum(axis=-1)
+                    if j == 1:
+                        self.purities[0] = dj * np.square(t[..., p, :, 0]).sum(axis=-1)
+            if n == 2:
+                self.realign_norm = np.linalg.svd(t[..., 0, :, :], compute_uv=False).sum(axis=-1)
+        if n == 2:
             pt = partial_transpose(rho, 0)
             self.pt_spectrum = np.linalg.eigvalsh((pt + pt.conj().swapaxes(-2, -1)) / 2)
 

@@ -164,10 +164,7 @@ def multipartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> Multipar
     or more it only counts violations: Phi+ x Phi+ on 2x2x2x2 sets it,
     yet is a product across {0,1}|{2,3}."""
     s = summarize(rho)
-    n = len(s.dims)
-    if n < 2:
-        raise ValueError(f"full separability test requires at least two parties, got {n}")
-    return _report(s, list(combinations(range(n), 2)), tol)
+    return _report(s, list(combinations(range(len(s.dims)), 2)), tol)
 
 
 def tripartite_full_sep(rho: StateLike, tol: float = DECISION_TOL) -> MultipartiteReport:

@@ -53,16 +53,11 @@ def bennett_state() -> DensityMatrix:
     rho = (I_9 - sum_i |xi_i><xi_i|) / 4 with the tiles spanning a
     5-dimensional subspace; rho is PPT yet entangled.
     """
-    e = [ket(3, i) for i in range(3)]
+    e = np.eye(3, dtype=complex)
     s = (e[0] + e[1] + e[2]) / np.sqrt(3)
-    tiles = [
-        np.kron(e[0], (e[0] - e[1]) / np.sqrt(2)),
-        np.kron((e[0] - e[1]) / np.sqrt(2), e[2]),
-        np.kron(e[2], (e[1] - e[2]) / np.sqrt(2)),
-        np.kron((e[1] - e[2]) / np.sqrt(2), e[0]),
-        np.kron(s, s),
-    ]
-    proj = sum(np.outer(t, t.conj()) for t in tiles)
+    lo, hi = (e[0] - e[1]) / np.sqrt(2), (e[1] - e[2]) / np.sqrt(2)
+    tiles = _kron(np.array([e[0], lo, e[2], hi, s]), np.array([lo, e[2], hi, e[0], s]))
+    proj = _projector(tiles).sum(axis=0)
     return DensityMatrix((3, 3), (np.eye(9) - proj) / 4)
 
 
@@ -70,8 +65,7 @@ def max_entangled(d: int) -> DensityMatrix:
     """(1/sqrt(d)) sum_i |ii> as a density matrix."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    psi = sum(np.kron(ket(d, i), ket(d, i)) for i in range(d)) / np.sqrt(d)
-    return dm_from_vector(psi, (d, d))
+    return dm_from_vector(np.eye(d).ravel() / np.sqrt(d), (d, d))
 
 
 def product_state(locals_: list[DensityMatrix]) -> DensityMatrix:
@@ -323,17 +317,20 @@ def save_state(rho: DensityMatrix, path) -> None:
         fh.write("]}")
 
 
-def parse_dims(text: str) -> tuple[int, ...]:
-    """'3x3' -> (3, 3)."""
+def parse_dims(text: str, sep: str = "x") -> tuple[int, ...]:
+    """'3x3' -> (3, 3); every dimension is an integer of at least 2, checked
+    before anything is built from them."""
     try:
-        return tuple(int(p) for p in text.split("x"))
+        dims = tuple(int(p) for p in text.split(sep))
     except ValueError:
-        raise ValueError(f"bad dimension list {text!r}, expected e.g. '3x3'") from None
+        raise ValueError(f"bad dimension list {text!r}, expected e.g. '3{sep}3'") from None
+    if min(dims) < 2:
+        raise ValueError(f"bad dimension list {text!r}: every dimension must be at least 2")
+    return dims
 
 
 def _product(dims: str) -> DensityMatrix:
-    ds = [int(p) for p in dims.split(",")]
-    return product_state([dm_from_vector(ket(d, 0), (d,)) for d in ds])
+    return product_state([dm_from_vector(ket(d, 0), (d,)) for d in parse_dims(dims, ",")])
 
 
 # head -> (grammar, constructor taking the colon-separated fields)

@@ -1,10 +1,14 @@
 """Shared test helpers: random orthogonal/unitary generators, the full
 covariance matrix and its block decomposition (reference objects the
 library's criteria do not need), parsing `analyze` JSON back into a
-report, and the one-state-at-a-time generators, `bench` loop and `sweep`
-loop that the chunked library code must reproduce bit for bit."""
+report, the one-state-at-a-time generators, `bench` loop and `sweep`
+loop that the chunked library code must reproduce bit for bit, and the
+former one-pair-at-a-time summary, `asdict` serialisation and `np.kron`
+state constructors."""
+import dataclasses
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 
 import numpy as np
 
@@ -12,11 +16,11 @@ from covmat import concurrence as conc
 from covmat import criteria as crit
 from covmat.cli import AnalysisReport
 from covmat.concurrence import ConcurrenceBounds
-from covmat.covariance import StateSummary, correlation_block
+from covmat.covariance import StateSummary, _rows, correlation_block
 from covmat.criteria import CriterionVerdict, MultipartiteReport
-from covmat.linalg import DensityMatrix, partial_trace
-from covmat.observables import ObservableBasis, pad_basis
-from covmat.states import mix
+from covmat.linalg import DensityMatrix, partial_trace, realign
+from covmat.observables import ObservableBasis, gell_mann_basis, pad_basis
+from covmat.states import dm_from_vector, ket, mix
 
 IMAG_TOL = 1e-10
 
@@ -197,3 +201,48 @@ def sweep_rows_reference(base, target, grid):
                      conc.bound_optimized(s), kf.margin, hs.margin,
                      ppt.details["min_eigenvalue"], ccnr.lhs))
     return rows
+
+
+def summary_reference(rho: DensityMatrix):
+    """(purities, pairs) as the summary formed them one pair at a time:
+    each purity from its marginal's partial trace, each pair's block from
+    its own partial trace, realignment, product and SVD."""
+    purities = [partial_trace(rho, (k,)).purity() for k in range(rho.n_parties)]
+    pairs = {}
+    for i, j in combinations(range(rho.n_parties), 2):
+        di, dj = rho.dims[i], rho.dims[j]
+        r = realign(rho if rho.n_parties == 2 else partial_trace(rho, (i, j)))
+        t = (_rows(gell_mann_basis(di)) @ r @ _rows(gell_mann_basis(dj)).T).real
+        c = t - np.sqrt(di * dj) * t[..., :, :1] * t[..., :1, :]
+        pairs[i, j] = c, np.linalg.svd(c, compute_uv=False)
+    return purities, pairs
+
+
+def to_dict_reference(rep: AnalysisReport) -> dict:
+    """The `analyze` JSON dict through `dataclasses.asdict`."""
+    d = dataclasses.asdict(rep)
+    if d["multipartite"] is not None:
+        pairs = d["multipartite"]["pair_verdicts"]
+        d["multipartite"]["pair_verdicts"] = {f"{i},{j}": v for (i, j), v in pairs.items()}
+    return d
+
+
+def bennett_state_reference() -> DensityMatrix:
+    """The tiles state from `np.kron` of its kets and a sum of outer products."""
+    e = [ket(3, i) for i in range(3)]
+    s = (e[0] + e[1] + e[2]) / np.sqrt(3)
+    tiles = [
+        np.kron(e[0], (e[0] - e[1]) / np.sqrt(2)),
+        np.kron((e[0] - e[1]) / np.sqrt(2), e[2]),
+        np.kron(e[2], (e[1] - e[2]) / np.sqrt(2)),
+        np.kron((e[1] - e[2]) / np.sqrt(2), e[0]),
+        np.kron(s, s),
+    ]
+    proj = sum(np.outer(t, t.conj()) for t in tiles)
+    return DensityMatrix((3, 3), (np.eye(9) - proj) / 4)
+
+
+def max_entangled_reference(d: int) -> DensityMatrix:
+    """MES_d from the sum of `np.kron(|i>, |i>)`."""
+    psi = sum(np.kron(ket(d, i), ket(d, i)) for i in range(d)) / np.sqrt(d)
+    return dm_from_vector(psi, (d, d))

@@ -23,7 +23,12 @@ from covmat.cli import (
 from covmat.covariance import StateSummary
 from covmat.linalg import DensityMatrix
 from covmat.states import bennett_state, build_state, max_entangled, random_mixed, save_state
-from helpers import bench_counts_reference, report_from_dict, sweep_rows_reference
+from helpers import (
+    bench_counts_reference,
+    report_from_dict,
+    sweep_rows_reference,
+    to_dict_reference,
+)
 
 
 def run_cli(capsys, argv):
@@ -211,7 +216,8 @@ def test_analyze_state_timing_keys():
 
 
 def test_purities_stage_times_the_summary(monkeypatch):
-    # the summary computes the marginals and purities, so their stage includes it
+    # the summary reads the purities off each pair's correlation matrix, so
+    # their stage times the whole summary
     def slow_summary(rho):
         time.sleep(0.01)
         return StateSummary(rho)
@@ -219,6 +225,15 @@ def test_purities_stage_times_the_summary(monkeypatch):
     monkeypatch.setattr(cli, "StateSummary", slow_summary)
     rep = analyze_state(max_entangled(2), "mes:2", 1e-9)
     assert rep.timing_ms["purities"] >= 10
+
+
+@pytest.mark.parametrize("rho", [bennett_state(), random_mixed((2, 4), 3),
+                                 random_mixed((2, 2, 3), 4, rank=2),
+                                 random_mixed((2, 2, 2, 2), 5, rank=2)],
+                         ids=["tiles", "2x4", "2x2x3", "4-qubits"])
+def test_to_dict_writes_the_asdict_bytes(rho):
+    rep = analyze_state(rho, "state", 1e-9)
+    assert json.dumps(rep.to_dict()) == json.dumps(to_dict_reference(rep))
 
 
 def test_load_stage_times_loading_and_validation(monkeypatch, tmp_path, capsys):
@@ -405,6 +420,22 @@ class TestBadInput:
         code, out, err = run_cli(capsys, ["bench", "--dims", "300x300", "--count", "2"])
         assert_one_line_error(code, err)
         assert out == "" and err.startswith("error: out of memory: Unable to allocate")
+
+    @pytest.mark.parametrize("argv, dims", [
+        (["bench", "--dims", "3x0"], "3x0"),
+        (["bench", "--dims", "0x0"], "0x0"),
+        (["bench", "--kind", "pure", "--dims", "3x0"], "3x0"),
+        (["bench", "--dims", "3x-2"], "3x-2"),
+        (["analyze", "--state", "product:3,0"], "3,0"),
+        (["analyze", "--state", "random_separable:3x-2:2:1"], "3x-2"),
+        (["analyze", "--state", "random_pure:3x0:1"], "3x0"),
+    ], ids=["bench-3x0", "bench-0x0", "bench-pure-3x0", "bench-3x-2", "product-3,0",
+            "random_separable-3x-2", "random_pure-3x0"])
+    def test_dimension_below_two_is_one_error_line(self, capsys, argv, dims):
+        code, out, err = run_cli(capsys, argv)
+        assert_one_line_error(code, err)
+        assert out == "" and "Traceback" not in err
+        assert f"bad dimension list '{dims}': every dimension must be at least 2" in err
 
     def test_spec_missing_seed(self, capsys):
         code, _, err = run_cli(capsys, ["analyze", "--state", "random_pure:2x2"])

@@ -17,7 +17,14 @@ from covmat.states import (
 )
 
 import oracles
-from helpers import all_blocks, covariance_matrix, expectation, random_orthogonal
+from helpers import (
+    all_blocks,
+    apply_lu,
+    covariance_matrix,
+    expectation,
+    random_orthogonal,
+    summary_reference,
+)
 
 
 def qubit(p):
@@ -252,3 +259,55 @@ def test_criteria_and_bounds_only_read_the_summary(monkeypatch, rho):
     assert calls == Counter()
     StateSummary(rho)  # the counters do see the summary's own work
     assert calls["realign"] and calls["svd"]
+
+
+# Fixed before comparing: entries are O(1), and the stacked pass and the
+# reference round differently only in the purities, by a few 1e-16.
+STACKED_TOL = 1e-14
+
+
+@pytest.mark.parametrize("rho", [
+    random_mixed((2, 3), 4), random_mixed((3, 2), 5, rank=2),
+    random_mixed((2, 3, 2), 6, rank=3), random_mixed((2, 2, 3, 3), 7, rank=2),
+    random_mixed((3, 3, 3), 8, rank=2), random_mixed((2,) * 5, 9, rank=2),
+    DensityMatrix((2, 2, 2), np.stack([random_mixed((2, 2, 2), s, rank=1 + s).mat
+                                       for s in range(4)])),
+], ids=["2x3", "3x2", "2x3x2", "2x2x3x3", "3x3x3", "5-qubits", "stack-2x2x2"])
+def test_stacked_pass_matches_the_per_pair_reference(rho):
+    # pairs of one shape share one realignment, product and SVD; each pair's
+    # block and singular values are those of its own pass.  Party 0 reads
+    # its purity as the first party of pair (0, 1), every other party as the
+    # second of pair (0, k); each equals its marginal's tr rho_k^2.
+    s = StateSummary(rho)
+    purities, pairs = summary_reference(rho)
+    assert s.pairs.keys() == pairs.keys()
+    for ij, (block, sv) in pairs.items():
+        assert s.pairs[ij][0].shape == block.shape and s.pairs[ij][1].shape == sv.shape
+        assert np.abs(s.pairs[ij][0] - block).max() <= STACKED_TOL, ij
+        assert np.abs(s.pairs[ij][1] - sv).max() <= STACKED_TOL, ij
+    assert len(s.purities) == rho.n_parties
+    for k, p in enumerate(purities):
+        assert np.shape(s.purities[k]) == np.shape(p)
+        assert np.abs(s.purities[k] - p).max() <= STACKED_TOL, k
+
+
+def test_one_party_has_no_summary():
+    with pytest.raises(ValueError, match="at least two parties, got 1"):
+        StateSummary(random_mixed((3,), 0))
+
+
+def basis_free_values(rho):
+    """Purities, the four criteria's lhs and the two basis-free bounds."""
+    s = StateSummary(rho)
+    lhs = [c(s).lhs for c in (criteria.kf_criterion, criteria.hs_criterion,
+                               criteria.ppt_criterion, criteria.ccnr_criterion)]
+    return [*s.purities, *lhs, concurrence.bound_ccnr_ppt(s), concurrence.bound_optimized(s)]
+
+
+@given(st.integers(0, 10_000), st.sampled_from([(2, 3), (3, 3), (2, 4)]))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_local_unitaries_change_no_basis_free_value(seed, dims):
+    # bound_lur is left out: it reads the Gell-Mann bases, which U_A x U_B rotates
+    rho = random_mixed(dims, seed, rank=1 + seed % 6)
+    np.testing.assert_allclose(basis_free_values(apply_lu(rho, seed + 1)),
+                               basis_free_values(rho), rtol=0, atol=1e-10)

@@ -30,7 +30,12 @@ from covmat.states import (
     save_state,
 )
 
-from helpers import random_pure_reference, random_separable_reference
+from helpers import (
+    bennett_state_reference,
+    max_entangled_reference,
+    random_pure_reference,
+    random_separable_reference,
+)
 
 
 class TestBennettState:
@@ -71,6 +76,13 @@ class TestMaxEntangled:
 
     def test_purity_one(self):
         assert max_entangled(3).purity() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_constructors_give_the_kron_bits():
+    # the kets are built without np.kron, to the same bits
+    assert bennett_state().mat.tobytes() == bennett_state_reference().mat.tobytes()
+    for d in range(2, 9):
+        assert max_entangled(d).mat.tobytes() == max_entangled_reference(d).mat.tobytes()
 
 
 class TestMix:
